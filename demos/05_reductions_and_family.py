@@ -19,7 +19,7 @@ from phylokit import (
 from phylokit.graphs import disjoint_union, cycle_graph
 
 g = figure_catalog("fig4_G2")
-kernels, constant, log = reduce_graph(g)
+kernels, log = reduce_graph(g)
 print(f"fig4_G2 (clique glued to a grid): kernels {kernels}")
 print("reduction log:")
 for entry in log:

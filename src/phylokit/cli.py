@@ -6,8 +6,8 @@ Subcommands: ``compute`` (value with optional witness file), ``verify``
 graphs), ``catalog`` (worked examples) and ``export-dot``.
 
 Exit codes: 0 success, 1 invalid certificate in ``verify``, 2 unreadable
-or malformed input, 3 size cap exceeded without --force, 4 sweep found a
-disagreement.
+or malformed input or an unwritable output path, 3 size cap exceeded
+without --force, 4 sweep found a disagreement.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ EXIT_SWEEP_DISAGREEMENT = 4
 def _read_graph(path: str) -> Graph:
     try:
         return parse_graph(Path(path).read_text())
-    except (OSError, ParseError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
@@ -65,7 +65,15 @@ def _read_graph(path: str) -> Graph:
 def _read_digraph(path: str) -> Digraph:
     try:
         return parse_digraph(Path(path).read_text())
-    except (OSError, ParseError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
@@ -97,7 +105,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             witness.digraph,
             trailing=f"base 0..{graph.n - 1}",
         )
-        Path(args.witness).write_text(text)
+        _write_text(args.witness, text)
         payload["witness_file"] = args.witness
     print(json.dumps(payload))
     return EXIT_OK
@@ -154,11 +162,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("error: the native generator is capped at --max-n 8", file=sys.stderr)
         return EXIT_PARSE
     lines = None
-    if args.graph6 is not None:
-        source = sys.stdin if args.graph6 == "-" else open(args.graph6)
-        lines = source.read().splitlines()
-        if source is not sys.stdin:
-            source.close()
+    if args.graph6 == "-":
+        lines = sys.stdin.read().splitlines()
+    elif args.graph6 is not None:
+        try:
+            lines = Path(args.graph6).read_text().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     options = SweepOptions(
         only_k4free_diamond_scope=args.only_k4free_diamond_scope,
         with_oracle=args.with_oracle,
@@ -206,7 +217,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"family_{args.l}.graph"
-        path.write_text(format_graph(graph, comment=f"difference family member l={args.l}"))
+        _write_text(path, format_graph(graph, comment=f"difference family member l={args.l}"))
         payload["file"] = str(path)
     print(json.dumps(payload))
     return EXIT_OK
@@ -230,7 +241,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         )
         extra = {"kind": "digraph", "n": digraph.n, "arcs": digraph.m}
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
         print(json.dumps({**extra, "file": args.out}))
     else:
         sys.stdout.write(text)
@@ -249,7 +260,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
             return EXIT_PARSE
         dot = certificate_to_dot(digraph, range(args.base_size))
     if args.out:
-        Path(args.out).write_text(dot)
+        _write_text(args.out, dot)
     else:
         sys.stdout.write(dot)
     return EXIT_OK

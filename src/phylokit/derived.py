@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ArcIntoBase, CyclicDigraph, NotAcyclic, NotInduced
+from .errors import ArcIntoBase, ArcRuleViolated, CyclicDigraph, NotAcyclic, NotInduced
 from .graphs import Digraph, Edge, Graph, bits, is_acyclic
 
 __all__ = [
@@ -176,18 +176,18 @@ def drop_extra_out_arcs(certificate: PhyloCertificate) -> Digraph:
     """
     extra = set(certificate.extras)
     kept = [a for a in certificate.digraph.arcs if a[0] not in extra]
-    return Digraph(certificate.digraph.n, kept, certificate.digraph.labels)
+    return Digraph(certificate.digraph.n, kept)
 
 
 def check_nontriangle_edge_arcs(target: Graph, digraph: Digraph, base: Sequence[int]) -> None:
-    """Assert the two forced-arc properties on edges lying on no triangle.
+    """Check the two forced-arc properties on edges lying on no triangle.
 
     For a valid phylogeny digraph and a target edge xy on no triangle of
     the target: (a) if the arc (x, y) is present then x is the only base
     in-neighbor of y, and (b) any common out-neighbor of x and y is an
     extra vertex whose base in-neighbors are exactly {x, y}.  Violations
-    raise AssertionError; this is used as a structural audit on solver
-    and construction output.
+    raise :class:`ArcRuleViolated`; this is used as a structural audit on
+    solver and construction output.
     """
     order = tuple(base)
     base_mask = 0
@@ -204,19 +204,22 @@ def check_nontriangle_edge_arcs(target: Graph, digraph: Digraph, base: Sequence[
         for a, b in ((x, y), (y, x)):
             if digraph.has_arc(a, b):
                 others = digraph.inn[b] & base_mask & ~(1 << a)
-                assert others == 0, (
-                    f"edge {gu}-{gv} lies on no triangle but head {b} has base "
-                    f"in-neighbors beyond {a}"
-                )
+                if others:
+                    raise ArcRuleViolated(
+                        f"edge {gu}-{gv} lies on no triangle but head {b} has base "
+                        f"in-neighbors beyond {a}"
+                    )
         common = digraph.out[x] & digraph.out[y]
         for z in bits(common):
-            assert not (base_mask >> z) & 1, (
-                f"edge {gu}-{gv} lies on no triangle but is cared for by base vertex {z}"
-            )
+            if (base_mask >> z) & 1:
+                raise ArcRuleViolated(
+                    f"edge {gu}-{gv} lies on no triangle but is cared for by base vertex {z}"
+                )
             others = digraph.inn[z] & base_mask & ~(1 << x) & ~(1 << y)
-            assert others == 0, (
-                f"caring vertex {z} of non-triangle edge {gu}-{gv} has further base in-neighbors"
-            )
+            if others:
+                raise ArcRuleViolated(
+                    f"caring vertex {z} of non-triangle edge {gu}-{gv} has further base in-neighbors"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +228,10 @@ def check_nontriangle_edge_arcs(target: Graph, digraph: Digraph, base: Sequence[
 # vertices in the label.  Vertices are emitted in ascending id order.
 
 
-def _dot_name(v: int, labels: Sequence[str] | None) -> str:
-    if labels is not None and labels[v]:
-        return f'"{labels[v]}"'
-    return str(v)
-
-
 def graph_to_dot(graph: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     for v in range(graph.n):
-        lines.append(f"  {v} [label={_dot_name(v, graph.labels)}];")
+        lines.append(f"  {v} [label={v}];")
     for u, v in graph.sorted_edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")
@@ -244,7 +241,7 @@ def graph_to_dot(graph: Graph, name: str = "G") -> str:
 def digraph_to_dot(digraph: Digraph, name: str = "D") -> str:
     lines = [f"digraph {name} {{"]
     for v in range(digraph.n):
-        lines.append(f"  {v} [label={_dot_name(v, digraph.labels)}];")
+        lines.append(f"  {v} [label={v}];")
     for t, h in digraph.sorted_arcs():
         lines.append(f"  {t} -> {h};")
     lines.append("}")
@@ -257,7 +254,7 @@ def certificate_to_dot(digraph: Digraph, base: Iterable[int], name: str = "D") -
     lines = [f"digraph {name} {{"]
     for v in range(digraph.n):
         shape = "circle" if v in base_set else "box"
-        lines.append(f"  {v} [label={_dot_name(v, digraph.labels)}, shape={shape}];")
+        lines.append(f"  {v} [label={v}, shape={shape}];")
     for t, h in digraph.sorted_arcs():
         lines.append(f"  {t} -> {h};")
     for (u, v), carers in cared.items():

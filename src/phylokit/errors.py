@@ -100,3 +100,9 @@ class NotInduced(CertificateError):
         super().__init__(f"edge {edge[0]}-{edge[1]} is {kind} the phylogeny graph on the base")
         self.edge = edge
         self.missing = missing
+
+
+class ArcRuleViolated(CertificateError):
+    """A target edge on no triangle is realized against the forced-arc rules."""
+
+    clause = "ArcRuleViolated"

@@ -32,10 +32,24 @@ ORACLE_VERTEX_CAP = 7
 ORACLE_EXTRA_CAP = 3
 
 
-class _EdgeCoverState:
-    """Shared bookkeeping for the edge-driven searches."""
+class _HeadSearch:
+    """Depth-first feasibility search over head assignments for a fixed budget.
 
-    def __init__(self, graph: Graph):
+    Branches on the lexicographically smallest uncovered edge uv: every
+    candidate head h of uv (ascending id), extending h's in-set by the
+    endpoints other than h, then a fresh extra per maximal clique
+    containing uv (largest clique first).  Completeness: any valid
+    assignment can be replayed through these moves edge by edge.
+
+    The two solvers differ only in the moves built here.  For the
+    phylogeny number the head joins the clique it marries, so it must be
+    u, v or a common neighbour (any other head fails the clique test) and
+    its arcs realize edges too.  For the competition number arcs realize
+    nothing: the head is a third vertex, adjacent or not, and stays
+    outside the clique.
+    """
+
+    def __init__(self, graph: Graph, head_joins: bool):
         self.graph = graph
         self.n = graph.n
         self.edge_list = graph.sorted_edges()
@@ -54,6 +68,22 @@ class _EdgeCoverState:
         for options in by_edge:
             options.sort(key=lambda m: (-m.bit_count(), m))
         self.max_cliques_by_edge = by_edge
+        # per edge: (head, head bit, tails to add, head bit if it joins the clique)
+        self.head_moves: list[list[tuple[int, int, int, int]]] = []
+        for u, v in self.edge_list:
+            euv = (1 << u) | (1 << v)
+            if head_joins:
+                heads = euv | (graph.adj[u] & graph.adj[v])
+            else:
+                heads = graph.vertex_mask() & ~euv
+            self.head_moves.append([
+                (h, 1 << h, euv & ~(1 << h), (1 << h) if head_joins else 0)
+                for h in bits(heads)
+            ])
+        self.in_mask = [0] * self.n
+        self.out_mask = [0] * self.n
+        self.extras: list[int] = []
+        self.budget = 0
 
     def pairs_mask(self, vertex_mask: int) -> int:
         """Edge-index mask of all target edges inside a vertex mask."""
@@ -70,8 +100,9 @@ class _EdgeCoverState:
         self._pairs_cache[vertex_mask] = acc
         return acc
 
-    def reaches(self, start: int, targets: int, out_mask: list[int]) -> bool:
+    def reaches(self, start: int, targets: int) -> bool:
         """True iff some target vertex is reachable from start along arcs."""
+        out_mask = self.out_mask
         seen = 0
         frontier = out_mask[start]
         while frontier:
@@ -83,24 +114,6 @@ class _EdgeCoverState:
                 nxt |= out_mask[a]
             frontier = nxt & ~seen
         return False
-
-
-class _PhyloSearch(_EdgeCoverState):
-    """Depth-first feasibility search for a fixed extra-vertex budget.
-
-    Branches on the lexicographically smallest uncovered edge: every base
-    head (ascending id, extending its in-neighborhood by just the edge's
-    endpoints), then a fresh extra per maximal clique containing the edge
-    (largest clique first).  Completeness: any valid assignment can be
-    replayed through these moves edge by edge.
-    """
-
-    def __init__(self, graph: Graph):
-        super().__init__(graph)
-        self.in_mask = [0] * self.n
-        self.out_mask = [0] * self.n
-        self.extras: list[int] = []
-        self.budget = 0
 
     def run(self, budget: int) -> bool:
         self.in_mask = [0] * self.n
@@ -114,28 +127,26 @@ class _PhyloSearch(_EdgeCoverState):
             return True
         remaining = self.all_covered & ~covered
         ei = (remaining & -remaining).bit_length() - 1
-        u, v = self.edge_list[ei]
-        euv = (1 << u) | (1 << v)
-        for h in range(self.n):
-            hb = 1 << h
-            add = euv & ~hb
-            new_tails = add & ~self.in_mask[h]
+        in_mask = self.in_mask
+        out_mask = self.out_mask
+        for h, hb, add, own in self.head_moves[ei]:
+            saved = in_mask[h]
+            new_tails = add & ~saved
             if new_tails == 0:
                 continue
-            closed = self.in_mask[h] | add | hb
+            closed = saved | add | own
             if not self.graph.is_clique(closed):
                 continue
-            if self.reaches(h, new_tails, self.out_mask):
+            if self.reaches(h, new_tails):
                 continue
-            saved = self.in_mask[h]
-            self.in_mask[h] = saved | add
+            in_mask[h] = saved | add
             for a in bits(new_tails):
-                self.out_mask[a] |= hb
+                out_mask[a] |= hb
             if self._dfs(covered | self.pairs_mask(closed)):
                 return True
-            self.in_mask[h] = saved
+            in_mask[h] = saved
             for a in bits(new_tails):
-                self.out_mask[a] &= ~hb
+                out_mask[a] &= ~hb
         if len(self.extras) < self.budget:
             for cmask in self.max_cliques_by_edge[ei]:
                 self.extras.append(cmask)
@@ -171,7 +182,7 @@ def phylogeny_number_exact(
     """
     if graph.n > cap:
         raise TooLarge(f"exact solver capped at {cap} vertices (got {graph.n})")
-    search = _PhyloSearch(graph)
+    search = _HeadSearch(graph, head_joins=True)
     r = 0
     while True:
         if max_extras is not None and r > max_extras:
@@ -335,62 +346,7 @@ def oracle_phylogeny_number(graph: Graph, r_max: int = ORACLE_EXTRA_CAP) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Competition number.  Same search skeleton with two twists: an edge uv can
-# only be realized by marriage at a third vertex (arcs never contribute
-# edges), and that head may be any vertex at all, adjacent or not, since
-# arcs do not show up in the competition graph.
-
-
-class _CompetitionSearch(_EdgeCoverState):
-    def __init__(self, graph: Graph):
-        super().__init__(graph)
-        self.in_mask = [0] * self.n
-        self.out_mask = [0] * self.n
-        self.extras_used = 0
-        self.budget = 0
-
-    def run(self, budget: int) -> bool:
-        self.in_mask = [0] * self.n
-        self.out_mask = [0] * self.n
-        self.extras_used = 0
-        self.budget = budget
-        return self._dfs(0)
-
-    def _dfs(self, covered: int) -> bool:
-        if covered == self.all_covered:
-            return True
-        remaining = self.all_covered & ~covered
-        ei = (remaining & -remaining).bit_length() - 1
-        u, v = self.edge_list[ei]
-        euv = (1 << u) | (1 << v)
-        for h in range(self.n):
-            hb = 1 << h
-            if hb & euv:
-                continue
-            new_tails = euv & ~self.in_mask[h]
-            if new_tails == 0:
-                continue
-            grown = self.in_mask[h] | euv
-            if not self.graph.is_clique(grown):
-                continue
-            if self.reaches(h, new_tails, self.out_mask):
-                continue
-            saved = self.in_mask[h]
-            self.in_mask[h] = grown
-            for a in bits(new_tails):
-                self.out_mask[a] |= hb
-            if self._dfs(covered | self.pairs_mask(grown)):
-                return True
-            self.in_mask[h] = saved
-            for a in bits(new_tails):
-                self.out_mask[a] &= ~hb
-        if self.extras_used < self.budget:
-            self.extras_used += 1
-            for cmask in self.max_cliques_by_edge[ei]:
-                if self._dfs(covered | self.pairs_mask(cmask)):
-                    return True
-            self.extras_used -= 1
-        return False
+# Competition number: the same search with the head outside the clique.
 
 
 def competition_number_exact(
@@ -415,7 +371,7 @@ def competition_number_exact(
     start = max(0, edge_clique_cover_number(graph, cap=cap) - graph.n + 2)
     if connected and graph.n >= 2:
         start = max(start, 1)
-    search = _CompetitionSearch(graph)
+    search = _HeadSearch(graph, head_joins=False)
     k = start
     while True:
         if search.run(k):

@@ -194,7 +194,7 @@ def lower_bound_clique_cover(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> Phy
 # Decomposition machinery.
 
 
-def _part_value(host: Graph, part: Subgraph, cap: int) -> int:
+def _part_value(part: Subgraph, cap: int) -> int:
     part_graph, _ = part.to_graph()
     return phylogeny_number_auto(part_graph, cap=cap).value
 
@@ -228,7 +228,7 @@ def lower_bound_decomposition(
         except ConditionViolated as exc:
             renamed = {"i": "ii", "ii": "iii"}[exc.condition]
             raise ConditionViolated(renamed, f"part {idx}: {exc}", detail=exc.detail) from None
-    total = sum(_part_value(graph, part, cap) for part in parts)
+    total = sum(_part_value(part, cap) for part in parts)
     return PhyloResult(kind="lower_bound", method="subgraph-decomposition-bound", value=total)
 
 
@@ -258,13 +258,13 @@ def lower_bound_triangle_free_subgraph(
 # Value-preserving reductions.
 
 
-def reduce_graph(graph: Graph) -> tuple[list[Graph], int, list[dict]]:
+def reduce_graph(graph: Graph) -> tuple[list[Graph], list[dict]]:
     """Peel pendant vertices and complete leaf blocks, split components.
 
-    Returns (kernels, additive constant, replayable log).  Both peels
-    preserve the phylogeny number and component values add up, so the
-    graph's number is the constant (always 0) plus the sum over kernels.
-    Complete components are dropped outright since their value is zero.
+    Returns (kernels, replayable log).  Both peels preserve the phylogeny
+    number and component values add up, so the graph's number is the
+    sum over kernels.  Complete components are dropped outright since
+    their value is zero.
     """
     log: list[dict] = []
     kernels: list[Graph] = []
@@ -275,6 +275,12 @@ def reduce_graph(graph: Graph) -> tuple[list[Graph], int, list[dict]]:
         alive = list(comp)
         while True:
             sub, to_orig = graph.induced_subgraph(alive)
+            # cliques first: both ends of a K2 are pendants, and peeling them
+            # together would give each one the other as parent
+            if sub.is_clique(sub.vertex_mask()):
+                log.append({"op": "drop-clique-component", "vertices": [to_orig[v] for v in range(sub.n)]})
+                alive = []
+                break
             pendants = sorted(pendant_vertices(sub))
             if pendants:
                 pairs = [
@@ -285,10 +291,6 @@ def reduce_graph(graph: Graph) -> tuple[list[Graph], int, list[dict]]:
                 dropped = {to_orig[v] for v in pendants}
                 alive = [v for v in alive if v not in dropped]
                 continue
-            if sub.is_clique(sub.vertex_mask()):
-                log.append({"op": "drop-clique-component", "vertices": [to_orig[v] for v in range(sub.n)]})
-                alive = []
-                break
             leaf_blocks = clique_leaf_blocks(sub)
             if leaf_blocks:
                 block, cut = leaf_blocks[0]
@@ -310,7 +312,7 @@ def reduce_graph(graph: Graph) -> tuple[list[Graph], int, list[dict]]:
             sub, to_orig = graph.induced_subgraph(alive)
             log.append({"op": "kernel", "index": len(kernels), "vertices": list(to_orig)})
             kernels.append(sub)
-    return kernels, 0, log
+    return kernels, log
 
 
 def lift_reductions(
@@ -427,7 +429,7 @@ def decompose_equal(
                 "iii",
                 f"fewer than {len(parts) - 1} parts are vertex transitive",
             )
-    total = sum(_part_value(graph, part, cap) for part in parts)
+    total = sum(_part_value(part, cap) for part in parts)
     return PhyloResult(kind="exact", method="vertex-transitive-decomposition", value=total)
 
 
@@ -503,8 +505,7 @@ def phylogeny_number_auto(
     and still exceeds the solver cap, the extra-count cap, or the time
     budget.
     """
-    kernels, constant, log = reduce_graph(graph)
-    assert constant == 0
+    kernels, log = reduce_graph(graph)
     results = [
         _kernel_result(k, cap, want_witness, max_extras, deadline) for k in kernels
     ]

@@ -73,6 +73,8 @@ def graph6_decode(line: str) -> Graph:
             if bitstring[pos]:
                 edges.append((i, j))
             pos += 1
+    if any(bitstring[pos:]):
+        raise ParseError("graph6 padding bits must be zero")
     return Graph(n, edges)
 
 

@@ -9,7 +9,7 @@ construction; every "mutation" builds a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import CyclicDigraph, ParseError, UnknownVertex
 
@@ -56,13 +56,12 @@ class Graph:
     """A finite simple undirected graph on vertices ``0..n-1``.
 
     ``edges`` is a frozenset of ``(u, v)`` pairs with ``u < v``; ``adj[v]``
-    is the neighbourhood of ``v`` as a bitmask.  ``labels``, when given,
-    are display strings only and never affect any computation.
+    is the neighbourhood of ``v`` as a bitmask.
     """
 
-    __slots__ = ("n", "edges", "labels", "adj")
+    __slots__ = ("n", "edges", "adj")
 
-    def __init__(self, n: int, edges: Iterable[Edge] = (), labels: Sequence[str] | None = None):
+    def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         norm = set()
@@ -78,11 +77,8 @@ class Graph:
             norm.add(e)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels must match the vertex count")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "adj", tuple(adj))
 
     def __setattr__(self, name, value):
@@ -138,7 +134,7 @@ class Graph:
     def without_edges(self, drop: Iterable[Edge]) -> "Graph":
         """Same vertex set with the given edges removed."""
         gone = {_norm_edge(u, v) for u, v in drop}
-        return Graph(self.n, self.edges - gone, self.labels)
+        return Graph(self.n, self.edges - gone)
 
     def __eq__(self, other) -> bool:
         return (
@@ -162,9 +158,9 @@ class Digraph:
     a time and tests them.
     """
 
-    __slots__ = ("n", "arcs", "labels", "out", "inn")
+    __slots__ = ("n", "arcs", "out", "inn")
 
-    def __init__(self, n: int, arcs: Iterable[Arc] = (), labels: Sequence[str] | None = None):
+    def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         seen = set()
@@ -180,11 +176,8 @@ class Digraph:
             seen.add((t, h))
             out[t] |= 1 << h
             inn[h] |= 1 << t
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels must match the vertex count")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", frozenset(seen))
-        object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "out", tuple(out))
         object.__setattr__(self, "inn", tuple(inn))
 
@@ -206,9 +199,6 @@ class Digraph:
 
     def sorted_arcs(self) -> list[Arc]:
         return sorted(self.arcs)
-
-    def with_arcs(self, extra: Iterable[Arc]) -> "Digraph":
-        return Digraph(self.n, list(self.arcs) + list(extra), self.labels)
 
     def __eq__(self, other) -> bool:
         return (

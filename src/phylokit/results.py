@@ -8,12 +8,12 @@ from .derived import PhyloCertificate
 
 __all__ = ["PhyloResult"]
 
-KINDS = ("exact", "lower_bound", "upper_bound", "interval", "none")
+KINDS = ("exact", "lower_bound", "interval", "none")
 
 
 @dataclass(frozen=True)
 class PhyloResult:
-    """An exact value, a one-sided bound, an interval, or "nothing applies".
+    """An exact value, a lower bound, an interval, or "nothing applies".
 
     ``method`` records how the number was obtained (solver, the name of a
     closed form, a reduction chain, ...).  Exact results may carry a
@@ -30,7 +30,7 @@ class PhyloResult:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown result kind {self.kind!r}")
-        if self.kind in ("exact", "lower_bound", "upper_bound"):
+        if self.kind in ("exact", "lower_bound"):
             if self.value is None or self.value < 0:
                 raise ValueError(f"{self.kind} result needs a non-negative value")
         if self.kind == "interval":

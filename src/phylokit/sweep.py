@@ -15,25 +15,24 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .derived import check_nontriangle_edge_arcs, validate_phylogeny_digraph
-from .errors import CertificateError, Infeasible
+from .errors import ArcRuleViolated, CertificateError, Infeasible
 from .exact import oracle_phylogeny_number, phylogeny_number_exact
 from .formulas import bounds_k4free, formula_dispatch, lower_bound_clique_cover
 from .generate import canonical_graph6, connected_graphs_upto, graph6_decode
-from .graphs import Graph
+from .graphs import Graph, connected_components
 from .structure import census, edge_clique_cover_number
 from .witness import construct_gminus_caring, construct_k4free_upper
 
 __all__ = ["SweepRecord", "SweepOptions", "run_sweep", "sweep_graphs"]
 
 ORACLE_SWEEP_VERTEX_CAP = 6
+ORACLE_SWEEP_BUDGET = 3
 
 
 @dataclass(frozen=True)
 class SweepOptions:
     only_k4free_diamond_scope: bool = False
     with_oracle: bool = False
-    oracle_budget: int = 3
-    check_constructions: bool = True
     solver_cap: int = 12
 
 
@@ -111,7 +110,7 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
     try:
         check_nontriangle_edge_arcs(graph, witness.digraph, witness.base)
         checks["nontriangle_arc_rules"] = True
-    except AssertionError:
+    except ArcRuleViolated:
         checks["nontriangle_arc_rules"] = False
 
     formula = formula_dispatch(graph)
@@ -123,7 +122,8 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
     checks["clique_cover_bound_holds"] = clique_bound <= exact
 
     bounds_lower = bounds_upper = bounds_exact = None
-    if in_k4free_diamond_scope(graph) and _is_connected(graph):
+    in_scope = not report.has_k4 and report.diamonds_edge_disjoint
+    if in_scope and len(connected_components(graph)) == 1:
         outcome = bounds_k4free(graph)
         if outcome.kind == "exact":
             bounds_exact = outcome.value
@@ -134,32 +134,31 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
             checks["sandwich_holds"] = bounds_lower <= exact <= bounds_upper
         theta = edge_clique_cover_number(graph, cap=options.solver_cap)
         checks["theta_identity"] = theta == graph.m - 2 * report.t + report.d
-        if options.check_constructions:
-            caring, caring_optimal = construct_gminus_caring(graph)
-            comp_count = len(report.g_minus_components)
-            expected_caring = (
-                graph.m - graph.n - 2 * report.t + report.d + comp_count
-            )
-            ok = caring.extra_count == expected_caring
-            if caring_optimal:
-                ok = ok and caring.extra_count == exact
-            checks["caring_construction"] = ok
-            trace = construct_k4free_upper(graph, solver_cap=options.solver_cap)
-            upper_budget = graph.m - graph.n - report.t + 1
-            ok = trace.certificate.extra_count <= upper_budget
-            if comp_count == 2 * report.t - report.d + 1:
-                ok = ok and trace.certificate.extra_count == exact
-            checks["upper_construction"] = ok
+        caring, caring_optimal = construct_gminus_caring(graph)
+        comp_count = len(report.g_minus_components)
+        expected_caring = (
+            graph.m - graph.n - 2 * report.t + report.d + comp_count
+        )
+        ok = caring.extra_count == expected_caring
+        if caring_optimal:
+            ok = ok and caring.extra_count == exact
+        checks["caring_construction"] = ok
+        trace = construct_k4free_upper(graph, solver_cap=options.solver_cap)
+        upper_budget = graph.m - graph.n - report.t + 1
+        ok = trace.certificate.extra_count <= upper_budget
+        if comp_count == 2 * report.t - report.d + 1:
+            ok = ok and trace.certificate.extra_count == exact
+        checks["upper_construction"] = ok
 
     oracle_value = None
     oracle_infeasible = False
     if options.with_oracle and graph.n <= ORACLE_SWEEP_VERTEX_CAP:
         try:
-            oracle_value = oracle_phylogeny_number(graph, options.oracle_budget)
+            oracle_value = oracle_phylogeny_number(graph, ORACLE_SWEEP_BUDGET)
             checks["oracle_agrees"] = oracle_value == exact
         except Infeasible:
             oracle_infeasible = True
-            checks["oracle_agrees"] = exact > options.oracle_budget
+            checks["oracle_agrees"] = exact > ORACLE_SWEEP_BUDGET
 
     return SweepRecord(
         graph_id=canonical_graph6(graph),
@@ -180,12 +179,6 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
         checks=checks,
         elapsed_ms=int((time.perf_counter() - started) * 1000),
     )
-
-
-def _is_connected(graph: Graph) -> bool:
-    from .graphs import connected_components
-
-    return len(connected_components(graph)) == 1
 
 
 def sweep_graphs(

@@ -69,6 +69,20 @@ class TestCompute:
             main(["compute", str(path)])
         assert info.value.code == 2
 
+    def test_unwritable_witness_exit(self, tmp_path, capsys):
+        path = write_catalog(tmp_path, "fig1_G")
+        with pytest.raises(SystemExit) as info:
+            main(["compute", str(path), "--witness", str(tmp_path / "no_such_dir" / "w")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_binary_input_exit(self, tmp_path):
+        path = tmp_path / "binary.graph"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(SystemExit) as info:
+            main(["compute", str(path)])
+        assert info.value.code == 2
+
     def test_extras_cap_fails_loudly(self, tmp_path, capsys):
         # the octahedron defeats every closed form and needs one extra, so
         # only the search can answer and a cap of zero must abort loudly
@@ -163,6 +177,11 @@ class TestSweep:
         assert main(["sweep", "--max-n", "4", "--graph6", str(stream)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+    def test_missing_graph6_file_exit(self, tmp_path, capsys):
+        missing = tmp_path / "no_such.g6"
+        assert main(["sweep", "--max-n", "3", "--graph6", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_scoped_sweep(self, capsys):
         assert main(["sweep", "--max-n", "4", "--only-k4free-diamond-scope"]) == 0

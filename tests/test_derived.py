@@ -1,5 +1,8 @@
 """Derived-graph operators and certificate validation."""
 
+import subprocess
+import sys
+
 import pytest
 
 from phylokit.derived import (
@@ -14,7 +17,7 @@ from phylokit.derived import (
     underlying_graph,
     validate_phylogeny_digraph,
 )
-from phylokit.errors import ArcIntoBase, CyclicDigraph, NotAcyclic, NotInduced
+from phylokit.errors import ArcIntoBase, ArcRuleViolated, CyclicDigraph, NotAcyclic, NotInduced
 from phylokit.generate import all_digraph_arc_sets
 from phylokit.graphs import Digraph, Graph, bits, is_acyclic
 from phylokit.witness import figure_catalog
@@ -161,8 +164,30 @@ class TestNormalization:
         # both 0 and 2 point at 1 although edge (0,1) is on no triangle
         g = Graph(3, [(0, 1), (1, 2)])
         d = Digraph(4, [(0, 3), (1, 3), (0, 1), (2, 1)])
-        with pytest.raises(AssertionError):
+        with pytest.raises(ArcRuleViolated):
             check_nontriangle_edge_arcs(g, d, (0, 1, 2))
+
+    def test_nontriangle_arc_rules_survive_optimization(self):
+        # python -O strips asserts; the audit must still reject the violation
+        code = (
+            "from phylokit.derived import check_nontriangle_edge_arcs\n"
+            "from phylokit.errors import ArcRuleViolated\n"
+            "from phylokit.graphs import Digraph, Graph\n"
+            "g = Graph(3, [(0, 1), (1, 2)])\n"
+            "d = Digraph(4, [(0, 3), (1, 3), (0, 1), (2, 1)])\n"
+            "try:\n"
+            "    check_nontriangle_edge_arcs(g, d, (0, 1, 2))\n"
+            "except ArcRuleViolated:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
 
 
 class TestDot:

@@ -188,37 +188,60 @@ class TestDecompositionBound:
 
 class TestReductions:
     def test_tree_peels_away(self):
-        kernels, constant, log = reduce_graph(path_graph(6))
-        assert kernels == [] and constant == 0
+        kernels, log = reduce_graph(path_graph(6))
+        assert kernels == []
         assert log[-1]["op"] == "drop-clique-component"
 
     def test_glued_triangle_leaves_square(self):
         from phylokit.generate import canonical_graph6
 
-        kernels, _, _ = reduce_graph(figure_catalog("fig4_G1"))
+        kernels, _ = reduce_graph(figure_catalog("fig4_G1"))
         assert len(kernels) == 1
         assert canonical_graph6(kernels[0]) == canonical_graph6(cycle_graph(4))
 
     def test_disjoint_union_splits(self):
-        kernels, _, _ = reduce_graph(disjoint_union(cycle_graph(4), cycle_graph(5)))
+        kernels, _ = reduce_graph(disjoint_union(cycle_graph(4), cycle_graph(5)))
         assert kernels == [cycle_graph(4), cycle_graph(5)]
 
     def test_paw_disappears(self):
-        kernels, _, _ = reduce_graph(paw())
+        kernels, _ = reduce_graph(paw())
         assert kernels == []
 
     def test_value_preserved_up_to_seven_vertices(self):
         for g in connected_graphs_upto(7):
             direct = phylogeny_number_exact(g, want_witness=False).value
-            kernels, constant, _ = reduce_graph(g)
-            total = constant + sum(
+            kernels, _ = reduce_graph(g)
+            total = sum(
                 phylogeny_number_exact(k, want_witness=False).value for k in kernels
             )
             assert total == direct
 
+    def test_k2_dropped_as_clique(self):
+        kernels, log = reduce_graph(path_graph(2))
+        assert kernels == []
+        assert log == [{"op": "drop-clique-component", "vertices": [0, 1]}]
+
+    def test_auto_witness_on_all_small_graphs(self):
+        # every labelled graph on at most 5 vertices (forests, isolated
+        # edges, disconnected) and every connected graph on at most 7
+        def labelled(n):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for mask in range(1 << len(pairs)):
+                yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+        graphs = [g for n in range(1, 6) for g in labelled(n)]
+        graphs += list(connected_graphs_upto(7))
+        assert len(graphs) == 1099 + 996
+        for g in graphs:
+            result = phylogeny_number_auto(g, want_witness=True)
+            cert = result.witness
+            validate_phylogeny_digraph(cert.digraph, cert.base, g)
+            assert cert.extra_count == result.value
+            assert result.value == phylogeny_number_exact(g, want_witness=False).value
+
     def test_lift_produces_valid_witness(self):
         g = figure_catalog("fig4_G2")
-        kernels, _, log = reduce_graph(g)
+        kernels, log = reduce_graph(g)
         certs = [phylogeny_number_exact(k).witness for k in kernels]
         lifted = lift_reductions(g, log, certs)
         assert lifted.extra_count == sum(c.extra_count for c in certs)

@@ -28,7 +28,8 @@ class TestGraph6:
     def test_header_tolerated(self):
         assert graph6_decode(">>graph6<<C~") == complete_graph(4)
 
-    @pytest.mark.parametrize("line", ["", "C~~~~", "C"])
+    # "Bx" is the triangle "Bw" with a nonzero padding bit
+    @pytest.mark.parametrize("line", ["", "C~~~~", "C", "Bx"])
     def test_rejects_malformed(self, line):
         with pytest.raises(ParseError):
             graph6_decode(line)
