@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .derived import certificate_to_dot, digraph_to_dot, graph_to_dot, validate_phylogeny_digraph
 from .errors import (
@@ -34,9 +35,8 @@ from .formulas import (
     lower_bound_clique_cover,
     phylogeny_number_auto,
 )
-from .generate import graph6_encode
+from .generate import graph6_decode, graph6_encode
 from .graphs import (
-    Digraph,
     Graph,
     format_digraph,
     format_graph,
@@ -53,18 +53,12 @@ EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
 EXIT_SWEEP_DISAGREEMENT = 4
 
+T = TypeVar("T")
 
-def _read_graph(path: str) -> Graph:
+
+def _read(path: str, parse: Callable[[str], T]) -> T:
     try:
-        return parse_graph(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-
-
-def _read_digraph(path: str) -> Digraph:
-    try:
-        return parse_digraph(Path(path).read_text())
+        return parse(Path(path).read_text())
     except (OSError, UnicodeDecodeError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
@@ -79,7 +73,7 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    graph = _read_graph(args.file)
+    graph = _read(args.file, parse_graph)
     cap = graph.n if args.force else args.max_n
     deadline = None
     if args.time_budget_ms is not None:
@@ -112,8 +106,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    graph = _read_graph(args.graph)
-    digraph = _read_digraph(args.digraph)
+    graph = _read(args.graph, parse_graph)
+    digraph = _read(args.digraph, parse_digraph)
     if digraph.n < graph.n:
         print(
             f"NotInduced: digraph has {digraph.n} vertices, fewer than the graph's {graph.n}",
@@ -130,7 +124,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    graph = _read_graph(args.file)
+    graph = _read(args.file, parse_graph)
     payload: dict = {"graph": {"n": graph.n, "m": graph.m}}
     try:
         payload["clique_cover_lower"] = lower_bound_clique_cover(graph, cap=args.max_n).value
@@ -152,7 +146,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    graph = _read_graph(args.file)
+    graph = _read(args.file, parse_graph)
     print(json.dumps(census_json(graph, theta_cap=args.max_n)))
     return EXIT_OK
 
@@ -189,8 +183,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             print(f"graph6: {record.graph_id}", file=sys.stderr)
-            from .generate import graph6_decode
-
             print(format_graph(graph6_decode(record.graph_id)), file=sys.stderr)
             return EXIT_SWEEP_DISAGREEMENT
     return EXIT_OK
@@ -215,7 +207,11 @@ def cmd_family(args: argparse.Namespace) -> int:
     }
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         path = out_dir / f"family_{args.l}.graph"
         _write_text(path, format_graph(graph, comment=f"difference family member l={args.l}"))
         payload["file"] = str(path)
@@ -250,11 +246,11 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     if args.kind == "graph":
-        dot = graph_to_dot(_read_graph(args.file))
+        dot = graph_to_dot(_read(args.file, parse_graph))
     elif args.kind == "digraph":
-        dot = digraph_to_dot(_read_digraph(args.file))
+        dot = digraph_to_dot(_read(args.file, parse_digraph))
     else:
-        digraph = _read_digraph(args.file)
+        digraph = _read(args.file, parse_digraph)
         if args.base_size is None:
             print("error: --base-size is required for kind=certificate", file=sys.stderr)
             return EXIT_PARSE
@@ -306,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to K4-free graphs with pairwise edge-disjoint diamonds",
     )
     p.add_argument("--with-oracle", action="store_true", help="cross-check with the brute-force oracle")
-    p.add_argument("--threads", type=int, default=None, help="overrides PHYLOKIT_THREADS")
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("family", help="emit the graph with p - k + 1 = l")

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import ArcIntoBase, ArcRuleViolated, CyclicDigraph, NotAcyclic, NotInduced
 from .graphs import Digraph, Edge, Graph, bits, is_acyclic
+from .structure import triangle_edges
 
 __all__ = [
     "underlying_graph",
@@ -82,6 +83,19 @@ class PhyloCertificate:
         return tuple(v for v in range(self.digraph.n) if v not in inside)
 
 
+def _check_acyclic_and_base(digraph: Digraph, base: Iterable[int]) -> int:
+    """Raise :class:`NotAcyclic` or :class:`ArcIntoBase`; return the base mask."""
+    if not is_acyclic(digraph):
+        raise NotAcyclic("candidate digraph has a directed cycle")
+    base_mask = 0
+    for v in base:
+        base_mask |= 1 << v
+    for t, h in digraph.sorted_arcs():
+        if not (base_mask >> t) & 1 and (base_mask >> h) & 1:
+            raise ArcIntoBase((t, h))
+    return base_mask
+
+
 def validate_phylogeny_digraph(
     digraph: Digraph,
     base: Iterable[int],
@@ -113,15 +127,7 @@ def validate_phylogeny_digraph(
         if not 0 <= v < digraph.n:
             raise ValueError(f"base vertex {v} not in the digraph")
 
-    if not is_acyclic(digraph):
-        raise NotAcyclic("candidate digraph has a directed cycle")
-
-    base_mask = 0
-    for v in base_sorted:
-        base_mask |= 1 << v
-    for t, h in digraph.sorted_arcs():
-        if not (base_mask >> t) & 1 and (base_mask >> h) & 1:
-            raise ArcIntoBase((t, h))
+    _check_acyclic_and_base(digraph, base_sorted)
 
     phylo = phylogeny_graph(digraph)
     to_target = {d: i for i, d in enumerate(order)}
@@ -145,16 +151,7 @@ def cared_edges(digraph: Digraph, base: Iterable[int]) -> dict[Edge, frozenset[i
     The acyclicity and no-arc-into-base conditions are re-checked here;
     induced equality is the caller's concern since no target is passed.
     """
-    base_set = set(base)
-    if not is_acyclic(digraph):
-        raise NotAcyclic("candidate digraph has a directed cycle")
-    base_mask = 0
-    for v in base_set:
-        base_mask |= 1 << v
-    for t, h in digraph.sorted_arcs():
-        if not (base_mask >> t) & 1 and (base_mask >> h) & 1:
-            raise ArcIntoBase((t, h))
-
+    base_mask = _check_acyclic_and_base(digraph, base)
     plain = underlying_graph(digraph)
     out: dict[Edge, set[int]] = {}
     for w in range(digraph.n):
@@ -193,12 +190,9 @@ def check_nontriangle_edge_arcs(target: Graph, digraph: Digraph, base: Sequence[
     base_mask = 0
     for v in order:
         base_mask |= 1 << v
-    triangle_edges = set()
-    for u, v in target.edges:
-        if target.adj[u] & target.adj[v]:
-            triangle_edges.add((u, v))
+    on_triangle = triangle_edges(target)
     for gu, gv in target.edges:
-        if (gu, gv) in triangle_edges:
+        if (gu, gv) in on_triangle:
             continue
         x, y = order[gu], order[gv]
         for a, b in ((x, y), (y, x)):

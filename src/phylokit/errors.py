@@ -49,6 +49,13 @@ class HypothesisViolated(PhylokitError):
     """
 
 
+class CrossCheckFailed(PhylokitError):
+    """Two independent derivations of one number disagree, so one has a bug.
+
+    A class rather than an ``assert``, which ``python -O`` removes.
+    """
+
+
 class ConditionViolated(PhylokitError):
     """A decomposition verifier rejected its parts.
 

@@ -11,12 +11,14 @@ two decomposition rules turn part values into bounds or exact values.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from .derived import PhyloCertificate, validate_phylogeny_digraph
 from .errors import (
     CapExceeded,
     ConditionViolated,
+    CrossCheckFailed,
     HypothesisViolated,
     NotTriangleFree,
 )
@@ -43,8 +45,14 @@ from .structure import (
     edge_clique_cover_number,
     is_vertex_transitive,
     pendant_vertices,
+    sandwich_census,
 )
-from .witness import Subgraph, check_subgraph_clique_conditions
+from .witness import (
+    Subgraph,
+    check_subgraph_clique_conditions,
+    construct_gminus_caring,
+    construct_k4free_upper,
+)
 
 __all__ = [
     "formula_dispatch",
@@ -131,8 +139,9 @@ def formula_dispatch(graph: Graph) -> PhyloResult:
     """
     total = 0
     tags: list[str] = []
-    for comp in connected_components(graph):
-        sub, _ = graph.induced_subgraph(comp)
+    comps = connected_components(graph)
+    for comp in comps:
+        sub = graph if len(comps) == 1 else graph.induced_subgraph(comp)[0]
         outcome = _formula_connected(sub)
         if outcome is None:
             return PhyloResult(kind="none", method="none")
@@ -155,15 +164,10 @@ def bounds_k4free(graph: Graph) -> PhyloResult:
 
     The lower end is exact when the triangle-deleted graph is connected;
     the upper end when it has exactly 2t-d+1 components.  The method tag
-    records which equality clause fired.
+    records which equality clause fired.  Both fire only when t = 0, since
+    edge-disjoint diamonds give d <= t/2, and then the two ends coincide.
     """
-    report = census(graph)
-    if len(connected_components(graph)) != 1:
-        raise HypothesisViolated("graph must be connected")
-    if report.has_k4:
-        raise HypothesisViolated("graph contains a K4")
-    if not report.diamonds_edge_disjoint:
-        raise HypothesisViolated("two diamonds share an edge")
+    report = sandwich_census(graph)
     n, m, t, d = graph.n, graph.m, report.t, report.d
     lower = max(0, m - n - 2 * t + d + 1)
     upper = max(0, m - n - t + 1)
@@ -171,7 +175,6 @@ def bounds_k4free(graph: Graph) -> PhyloResult:
     lower_eq = cc == 1
     upper_eq = cc == 2 * t - d + 1
     if lower_eq and upper_eq:
-        assert lower == upper
         return PhyloResult(kind="exact", method="k4free-bounds:both-equalities", value=lower)
     if lower_eq:
         return PhyloResult(kind="exact", method="k4free-bounds:lower-equality", value=lower)
@@ -444,52 +447,38 @@ def _kernel_result(
     max_extras: int | None = None,
     deadline: float | None = None,
 ) -> PhyloResult:
+    solve = partial(phylogeny_number_exact, kernel, cap=cap, max_extras=max_extras, deadline=deadline)
     formula = formula_dispatch(kernel)
-    if formula.kind == "exact" and not want_witness:
-        return formula
     try:
         bounded = bounds_k4free(kernel)
     except HypothesisViolated:
         bounded = None
-    if bounded is not None and bounded.kind == "exact" and not want_witness:
-        if formula.kind == "exact":
-            assert formula.value == bounded.value
-            return formula
-        return bounded
-    if want_witness and (formula.kind == "exact" or (bounded is not None and bounded.kind == "exact")):
-        from .witness import construct_gminus_caring, construct_k4free_upper, construct_triangle_free
-
-        known = formula.value if formula.kind == "exact" else bounded.value
-        method = formula.method if formula.kind == "exact" else bounded.method
-        report = census(kernel)
-        if report.t == 0 and len(connected_components(kernel)) == 1:
-            cert = construct_triangle_free(kernel)
-        elif bounded is not None and bounded.method == "k4free-bounds:lower-equality":
-            cert, optimal = construct_gminus_caring(kernel)
-            assert optimal
-        elif bounded is not None and bounded.method in (
-            "k4free-bounds:upper-equality",
-            "k4free-bounds:both-equalities",
-        ):
-            cert = construct_k4free_upper(kernel).certificate
+    if formula.kind == "exact":
+        result = formula
+    elif bounded is not None and bounded.kind == "exact":
+        result = bounded
+    else:
+        result = solve(want_witness=want_witness)
+    if bounded is not None:
+        if bounded.kind == "exact":
+            agrees = result.value == bounded.value
         else:
-            solved = phylogeny_number_exact(
-                kernel, cap=cap, max_extras=max_extras, deadline=deadline
+            agrees = bounded.lower <= result.value <= bounded.upper
+        if not agrees:
+            raise CrossCheckFailed(
+                f"{result.method} gives {result.value} but {bounded.method} "
+                f"gives {bounded.to_json()['value']}"
             )
-            assert solved.value == known
-            cert = solved.witness
-        assert cert.extra_count == known
-        return PhyloResult(kind="exact", method=method, value=known, witness=cert)
-    solved = phylogeny_number_exact(
-        kernel,
-        cap=cap,
-        want_witness=want_witness,
-        max_extras=max_extras,
-        deadline=deadline,
-    )
-    if bounded is not None and bounded.kind == "interval":
-        assert bounded.lower <= solved.value <= bounded.upper
-    return solved
+    if not want_witness or result.witness is not None:
+        return result
+    clause = bounded.method if bounded is not None else None
+    if clause in ("k4free-bounds:lower-equality", "k4free-bounds:both-equalities"):
+        cert, _ = construct_gminus_caring(kernel)
+    elif clause == "k4free-bounds:upper-equality":
+        cert = construct_k4free_upper(kernel).certificate
+    else:
+        cert = solve().witness
+    return PhyloResult(kind="exact", method=result.method, value=result.value, witness=cert)
 
 
 def phylogeny_number_auto(
@@ -521,7 +510,6 @@ def phylogeny_number_auto(
     witness = None
     if want_witness:
         witness = lift_reductions(graph, log, [r.witness for r in results])
-        assert witness.extra_count == total
     return PhyloResult(kind="exact", method=method, value=total, witness=witness)
 
 
@@ -550,25 +538,27 @@ def difference_family(
         graph = complete_graph(2)
         p_result = phylogeny_number_auto(graph)
         k = competition_number_exact(graph)
-        assert p_result.value - k + 1 == 0
-        return graph, p_result, k
-    grid = grid_2xk(l + 1)
-    grid_n = grid.n
-    clique_members = [0] + list(range(grid_n, grid_n + l + 1))
-    edges = list(grid.edges)
-    for i, u in enumerate(clique_members):
-        for v in clique_members[i + 1:]:
-            edges.append((u, v))
-    graph = Graph(grid_n + l + 1, edges)
-    clique_part = Subgraph.from_edges(
-        (u, v) for i, u in enumerate(clique_members) for v in clique_members[i + 1:]
-    )
-    grid_part = Subgraph.from_edges(grid.edges)
-    p_result = decompose_equal(graph, [clique_part, grid_part])
-    assert p_result.value == l
-    k = 1
-    if verify_k:
-        exact_k = competition_number_exact(graph)
-        assert exact_k == k, f"expected competition number 1, solver found {exact_k}"
-    assert p_result.value - k + 1 == l, f"difference identity failed for l={l}"
+    else:
+        grid = grid_2xk(l + 1)
+        grid_n = grid.n
+        clique_members = [0] + list(range(grid_n, grid_n + l + 1))
+        edges = list(grid.edges)
+        for i, u in enumerate(clique_members):
+            for v in clique_members[i + 1:]:
+                edges.append((u, v))
+        graph = Graph(grid_n + l + 1, edges)
+        clique_part = Subgraph.from_edges(
+            (u, v) for i, u in enumerate(clique_members) for v in clique_members[i + 1:]
+        )
+        grid_part = Subgraph.from_edges(grid.edges)
+        p_result = decompose_equal(graph, [clique_part, grid_part])
+        k = 1
+        if verify_k:
+            exact_k = competition_number_exact(graph)
+            if exact_k != k:
+                raise CrossCheckFailed(f"expected competition number 1, solver found {exact_k}")
+    if p_result.value - k + 1 != l:
+        raise CrossCheckFailed(
+            f"difference identity failed for l={l}: p = {p_result.value}, k = {k}"
+        )
     return graph, p_result, k

@@ -9,14 +9,16 @@ and the block-level features used by the reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
-from .errors import TooLarge, UnknownVertex
+from .errors import HypothesisViolated, TooLarge, UnknownVertex
 from .graphs import Edge, Graph, bits, connected_components, cut_vertices_and_blocks
 
 __all__ = [
     "StructureReport",
     "census",
+    "sandwich_census",
     "component_of_gminus",
     "triangle_edges",
     "maximal_cliques",
@@ -65,7 +67,14 @@ def triangle_edges(graph: Graph) -> set[Edge]:
     }
 
 
+@lru_cache(maxsize=1)
 def census(graph: Graph) -> StructureReport:
+    """Triangles, diamonds, K4 flag and the triangle-edge-deleted graph.
+
+    Memoised for the last graph only: each pipeline asks for one graph
+    several times in a row, while a memo per graph would keep a report
+    alive for every graph a caller holds, as the sweep does.
+    """
     triangles = []
     for u, v in graph.sorted_edges():
         both = graph.adj[u] & graph.adj[v]
@@ -122,6 +131,22 @@ def census(graph: Graph) -> StructureReport:
         g_minus_components=comps,
         _component_index=index,
     )
+
+
+def sandwich_census(graph: Graph) -> StructureReport:
+    """The census of a graph meeting the hypotheses of the K4-free sandwich.
+
+    Raises :class:`HypothesisViolated` unless the graph is connected and
+    K4-free with pairwise edge-disjoint diamonds.
+    """
+    report = census(graph)
+    if len(connected_components(graph)) != 1:
+        raise HypothesisViolated("graph must be connected")
+    if report.has_k4:
+        raise HypothesisViolated("graph contains a K4")
+    if not report.diamonds_edge_disjoint:
+        raise HypothesisViolated("two diamonds share an edge")
+    return report
 
 
 def component_of_gminus(report: StructureReport, v: int) -> tuple[int, ...]:

@@ -9,18 +9,17 @@ nonzero exit.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .derived import check_nontriangle_edge_arcs, validate_phylogeny_digraph
-from .errors import ArcRuleViolated, CertificateError, Infeasible
+from .errors import ArcRuleViolated, CertificateError, HypothesisViolated, Infeasible
 from .exact import oracle_phylogeny_number, phylogeny_number_exact
 from .formulas import bounds_k4free, formula_dispatch, lower_bound_clique_cover
 from .generate import canonical_graph6, connected_graphs_upto, graph6_decode
-from .graphs import Graph, connected_components
-from .structure import census, edge_clique_cover_number
+from .graphs import Graph
+from .structure import census, edge_clique_cover_number, sandwich_census
 from .witness import construct_gminus_caring, construct_k4free_upper
 
 __all__ = ["SweepRecord", "SweepOptions", "run_sweep", "sweep_graphs"]
@@ -122,8 +121,12 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
     checks["clique_cover_bound_holds"] = clique_bound <= exact
 
     bounds_lower = bounds_upper = bounds_exact = None
-    in_scope = not report.has_k4 and report.diamonds_edge_disjoint
-    if in_scope and len(connected_components(graph)) == 1:
+    try:
+        sandwich_census(graph)
+        in_scope = True
+    except HypothesisViolated:
+        in_scope = False
+    if in_scope:
         outcome = bounds_k4free(graph)
         if outcome.kind == "exact":
             bounds_exact = outcome.value
@@ -203,16 +206,13 @@ def _worker(args: tuple[str, SweepOptions]) -> SweepRecord:
 def run_sweep(
     graphs: Iterable[Graph],
     options: SweepOptions = SweepOptions(),
-    threads: int | None = None,
+    threads: int = 1,
 ) -> Iterator[SweepRecord]:
     """Sweep records in input order, optionally fanned out over processes.
 
-    ``threads`` defaults to the PHYLOKIT_THREADS environment variable,
-    and to sequential execution when that is unset.  Output order never
-    depends on scheduling.
+    ``threads`` above 1 runs that many worker processes.  Output order
+    never depends on scheduling.
     """
-    if threads is None:
-        threads = int(os.environ.get("PHYLOKIT_THREADS", "1"))
     graphs = list(graphs)
     if options.only_k4free_diamond_scope:
         graphs = [g for g in graphs if in_k4free_diamond_scope(g)]

@@ -17,7 +17,6 @@ from .derived import PhyloCertificate, validate_phylogeny_digraph
 from .errors import (
     ConditionViolated,
     Disconnected,
-    HypothesisViolated,
     NotTriangleFree,
     UnknownName,
 )
@@ -30,7 +29,7 @@ from .graphs import (
     bits,
     connected_components,
 )
-from .structure import census, maximal_cliques, triangle_edges
+from .structure import maximal_cliques, sandwich_census, triangle_edges
 
 __all__ = [
     "Subgraph",
@@ -192,13 +191,7 @@ def construct_gminus_caring(graph: Graph) -> tuple[PhyloCertificate, bool]:
     and whether it is known optimal, which holds exactly when the
     triangle-deleted graph is connected.
     """
-    report = census(graph)
-    if len(connected_components(graph)) != 1:
-        raise HypothesisViolated("graph must be connected")
-    if report.has_k4:
-        raise HypothesisViolated("graph contains a K4")
-    if not report.diamonds_edge_disjoint:
-        raise HypothesisViolated("two diamonds share an edge")
+    report = sandwich_census(graph)
     arcs: list[tuple[int, int]] = []
     extra = graph.n
     for comp in report.g_minus_components:
@@ -356,8 +349,7 @@ def _edge_on_triangle(graph: Graph, u: int, v: int) -> bool:
 
 def _build_upper(graph: Graph, order: Sequence[int], asm: _Assembly, steps: list[dict], solver_cap: int) -> None:
     """Recursive proof-following construction; ids in ``asm`` are original."""
-    report = census(graph)
-    assert not report.has_k4 and report.diamonds_edge_disjoint
+    report = sandwich_census(graph)
 
     if report.t <= 2:
         result = phylogeny_number_exact(graph, cap=solver_cap)
@@ -548,13 +540,7 @@ def construct_k4free_upper(graph: Graph, solver_cap: int = UPPER_CONSTRUCTION_SO
     without spending more than the allotted budget.  The recursion
     bottoms out in the exact solver once at most two triangles remain.
     """
-    report = census(graph)
-    if len(connected_components(graph)) != 1:
-        raise HypothesisViolated("graph must be connected")
-    if report.has_k4:
-        raise HypothesisViolated("graph contains a K4")
-    if not report.diamonds_edge_disjoint:
-        raise HypothesisViolated("two diamonds share an edge")
+    report = sandwich_census(graph)
     asm = _Assembly(graph.n)
     steps: list[dict] = []
     _build_upper(graph, list(range(graph.n)), asm, steps, solver_cap)

@@ -232,6 +232,12 @@ class TestFamilyCommand:
     def test_cap(self, capsys):
         assert main(["family", "--l", "99"]) == 3
 
+    def test_out_below_regular_file_exit(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["family", "--l", "1", "--out", str(blocker / "sub")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestCatalogAndDot:
     def test_catalog_to_stdout(self, capsys):

@@ -1,5 +1,8 @@
 """Closed forms, bounds, reductions, decompositions and the family."""
 
+import subprocess
+import sys
+
 import pytest
 
 from phylokit.errors import CapExceeded, ConditionViolated, HypothesisViolated, NotTriangleFree
@@ -38,6 +41,25 @@ def paw():
 
 def prism():
     return Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
+
+
+def raises_under_optimization(code):
+    """Whether ``code`` raises CrossCheckFailed under python -O (no asserts)."""
+    code = (
+        "from phylokit.errors import CrossCheckFailed\n"
+        "try:\n"
+        + "".join(f"    {line}\n" for line in code.splitlines())
+        + "except CrossCheckFailed:\n"
+        "    print('raised')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip() == "raised"
 
 
 class TestFormulaDispatch:
@@ -319,6 +341,15 @@ class TestAutoPipeline:
         assert res.witness.extra_count == value
         validate_phylogeny_digraph(res.witness.digraph, res.witness.base, g)
 
+    def test_wrong_closed_form_caught_under_optimization(self):
+        assert raises_under_optimization(
+            "import phylokit.formulas as f\n"
+            "from phylokit.graphs import cycle_graph\n"
+            "from phylokit.results import PhyloResult\n"
+            "f.formula_dispatch = lambda g: PhyloResult('exact', 'formula:triangle-free', 5)\n"
+            "f.phylogeny_number_auto(cycle_graph(5))"
+        )
+
     def test_agrees_with_solver_up_to_six_vertices(self):
         for g in connected_graphs_upto(6):
             auto = phylogeny_number_auto(g).value
@@ -348,6 +379,13 @@ class TestDifferenceFamily:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             difference_family(100)
+
+    def test_wrong_competition_number_caught_under_optimization(self):
+        assert raises_under_optimization(
+            "import phylokit.formulas as f\n"
+            "f.competition_number_exact = lambda g: 2\n"
+            "f.difference_family(1, verify_k=True)"
+        )
 
     def test_l3_competition_number_verified_exactly(self):
         graph, p_result, k = difference_family(3, verify_k=True)

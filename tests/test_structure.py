@@ -23,6 +23,7 @@ from phylokit.structure import (
     pendant_vertices,
     triangle_edges,
 )
+from phylokit.sweep import sweep_one
 from phylokit.witness import figure_catalog
 
 
@@ -90,6 +91,14 @@ class TestCensus:
         rep = census(g)
         assert rep.t == 3 and rep.d == 3
         assert not rep.diamonds_edge_disjoint
+
+    def test_computed_about_once_per_graph_in_the_sweep(self):
+        # only the upper construction's smaller graphs add computations
+        graphs = list(connected_graphs_upto(6))
+        census.cache_clear()
+        for g in graphs:
+            sweep_one(g)
+        assert census.cache_info().misses <= 1.1 * len(graphs)
 
     def test_triangle_edges_partition(self):
         for g in connected_graphs_upto(6):
