@@ -5,9 +5,10 @@ Subcommands: ``compute`` (value with optional witness file), ``verify``
 (exhaustive small-graph verification), ``family`` (the p - k + 1 = l
 graphs), ``catalog`` (worked examples) and ``export-dot``.
 
-Exit codes: 0 success, 1 invalid certificate in ``verify``, 2 unreadable
-or malformed input or an unwritable output path, 3 size cap exceeded
-without --force, 4 sweep found a disagreement.
+Exit codes: 0 success, 1 invalid certificate in ``verify`` or
+``export-dot --kind certificate``, 2 unreadable or malformed input or an
+unwritable output path, 3 size cap exceeded without --force, 4 sweep
+found a disagreement.
 """
 
 from __future__ import annotations
@@ -251,10 +252,17 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         dot = digraph_to_dot(_read(args.file, parse_digraph))
     else:
         digraph = _read(args.file, parse_digraph)
-        if args.base_size is None:
-            print("error: --base-size is required for kind=certificate", file=sys.stderr)
+        if args.base_size is None or not 0 <= args.base_size <= digraph.n:
+            print(
+                f"error: --base-size in 0..{digraph.n} is required for kind=certificate",
+                file=sys.stderr,
+            )
             return EXIT_PARSE
-        dot = certificate_to_dot(digraph, range(args.base_size))
+        try:
+            dot = certificate_to_dot(digraph, range(args.base_size))
+        except CertificateError as exc:
+            print(f"{exc.clause}: {exc}", file=sys.stderr)
+            return EXIT_INVALID_CERTIFICATE
     if args.out:
         _write_text(args.out, dot)
     else:

@@ -1,4 +1,4 @@
-"""Operators that derive graphs from digraphs, and certificate checking.
+"""Operators that derive graphs from digraphs; certificate assembly and checks.
 
 The phylogeny graph of an acyclic digraph is its underlying graph plus
 an edge for every pair of vertices sharing an out-neighbor; this is the
@@ -174,6 +174,57 @@ def drop_extra_out_arcs(certificate: PhyloCertificate) -> Digraph:
     extra = set(certificate.extras)
     kept = [a for a in certificate.digraph.arcs if a[0] not in extra]
     return Digraph(certificate.digraph.n, kept)
+
+
+class Assembly:
+    """A sink-normalised phylogeny digraph under construction.
+
+    Base vertex ``w`` (0 <= w < n) has the base in-neighbourhood mask
+    ``in_set[w]``; extra ``j`` is digraph vertex ``n + j``, a sink whose
+    in-neighbourhood mask is ``extras[j]``.  Extras are numbered in
+    creation order.  The solver, the reductions' lift and the witness
+    constructions all assemble their certificates here.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.in_set = [0] * n
+        self.extras: list[int] = []
+
+    def new_extra(self, members: int) -> int:
+        self.extras.append(members)
+        return len(self.extras) - 1
+
+    def absorb(self, cert: PhyloCertificate, order: Sequence[int]) -> None:
+        """Copy ``cert`` in, its target vertex ``i`` becoming base ``order[i]``.
+
+        Its extras are appended in ascending digraph id.  Arcs leaving an
+        extra are dropped, as in :func:`drop_extra_out_arcs`: they realise
+        no base edge.  No arc enters the base from outside a valid
+        certificate, so every base in-neighbour maps.
+        """
+        inn = cert.digraph.inn
+        to_base = {d: order[i] for i, d in enumerate(cert.base)}
+        for d, v in to_base.items():
+            for a in bits(inn[d]):
+                self.in_set[v] |= 1 << to_base[a]
+        for e in cert.extras:
+            members = 0
+            for a in bits(inn[e]):
+                if a in to_base:
+                    members |= 1 << to_base[a]
+            self.new_extra(members)
+
+    def to_digraph(self) -> Digraph:
+        n = self.n
+        arcs = [(a, w) for w in range(n) for a in bits(self.in_set[w])]
+        for j, members in enumerate(self.extras):
+            arcs.extend((s, n + j) for s in bits(members))
+        return Digraph(n + len(self.extras), arcs)
+
+    def certificate(self, target: Graph) -> PhyloCertificate:
+        """Validate the assembled digraph against ``target`` on base 0..n-1."""
+        return validate_phylogeny_digraph(self.to_digraph(), range(self.n), target)
 
 
 def check_nontriangle_edge_arcs(target: Graph, digraph: Digraph, base: Sequence[int]) -> None:

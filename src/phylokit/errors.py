@@ -50,7 +50,10 @@ class HypothesisViolated(PhylokitError):
 
 
 class CrossCheckFailed(PhylokitError):
-    """Two independent derivations of one number disagree, so one has a bug.
+    """An internal consistency check failed, so phylokit has a bug.
+
+    Raised when two independent derivations of one number disagree, or
+    when an invariant a construction or search relies on does not hold.
 
     A class rather than an ``assert``, which ``python -O`` removes.
     """

@@ -14,9 +14,9 @@ from __future__ import annotations
 import time
 from itertools import combinations
 
-from .derived import PhyloCertificate, validate_phylogeny_digraph
-from .errors import Infeasible, TooLarge
-from .graphs import Digraph, Graph, bits, connected_components
+from .derived import Assembly, PhyloCertificate
+from .errors import CrossCheckFailed, Infeasible, TooLarge
+from .graphs import Graph, bits, connected_components
 from .results import PhyloResult
 from .structure import edge_clique_cover_number, maximal_cliques, triangle_edges
 
@@ -80,10 +80,6 @@ class _HeadSearch:
                 (h, 1 << h, euv & ~(1 << h), (1 << h) if head_joins else 0)
                 for h in bits(heads)
             ])
-        self.in_mask = [0] * self.n
-        self.out_mask = [0] * self.n
-        self.extras: list[int] = []
-        self.budget = 0
 
     def pairs_mask(self, vertex_mask: int) -> int:
         """Edge-index mask of all target edges inside a vertex mask."""
@@ -116,9 +112,11 @@ class _HeadSearch:
         return False
 
     def run(self, budget: int) -> bool:
-        self.in_mask = [0] * self.n
+        # the search state is the assembly of the certificate it finds
+        self.assembly = Assembly(self.n)
+        self.in_mask = self.assembly.in_set
+        self.extras = self.assembly.extras
         self.out_mask = [0] * self.n
-        self.extras = []
         self.budget = budget
         return self._dfs(0)
 
@@ -156,13 +154,7 @@ class _HeadSearch:
         return False
 
     def certificate(self) -> PhyloCertificate:
-        arcs = []
-        for w in range(self.n):
-            arcs.extend((a, w) for a in bits(self.in_mask[w]))
-        for i, cmask in enumerate(self.extras):
-            arcs.extend((s, self.n + i) for s in bits(cmask))
-        digraph = Digraph(self.n + len(self.extras), arcs)
-        return validate_phylogeny_digraph(digraph, range(self.n), self.graph)
+        return self.assembly.certificate(self.graph)
 
 
 def phylogeny_number_exact(
@@ -191,7 +183,8 @@ def phylogeny_number_exact(
             raise TooLarge("time budget exhausted before the search finished")
         if search.run(r):
             witness = search.certificate()
-            assert witness.extra_count == r
+            if witness.extra_count != r:
+                raise CrossCheckFailed(f"solver found {r} extras, witness has {witness.extra_count}")
             return PhyloResult(
                 kind="exact",
                 method="solver",
@@ -200,7 +193,8 @@ def phylogeny_number_exact(
             )
         r += 1
         # one dedicated extra per edge always succeeds, so this cannot run away
-        assert r <= graph.m, "deepening exceeded the trivial upper bound"
+        if r > graph.m:
+            raise CrossCheckFailed("deepening exceeded the trivial upper bound")
 
 
 # ---------------------------------------------------------------------------
@@ -377,4 +371,5 @@ def competition_number_exact(
         if search.run(k):
             return k
         k += 1
-        assert k <= graph.m, "deepening exceeded the trivial upper bound"
+        if k > graph.m:
+            raise CrossCheckFailed("deepening exceeded the trivial upper bound")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Sequence
 
-from .derived import PhyloCertificate, validate_phylogeny_digraph
+from .derived import Assembly, PhyloCertificate
 from .errors import (
     CapExceeded,
     ConditionViolated,
@@ -28,9 +28,7 @@ from .exact import (
     phylogeny_number_exact,
 )
 from .graphs import (
-    Digraph,
     Graph,
-    bits,
     complete_graph,
     connected_components,
     cut_vertices_and_blocks,
@@ -325,30 +323,19 @@ def lift_reductions(
 ) -> PhyloCertificate:
     """Turn kernel certificates into one certificate for the whole graph.
 
-    Kernels keep their digraphs (ids mapped through the log); peeled
-    pendants come back as arcs parent-to-pendant, peeled clique blocks as
-    transitive tournaments rooted at the cut vertex.  No extra vertices
-    are added, so the lifted count is the sum of the kernel counts.
+    Kernels keep their digraphs (ids mapped through the log, arcs leaving
+    an extra dropped); peeled pendants come back as arcs parent-to-pendant,
+    peeled clique blocks as transitive tournaments rooted at the cut vertex.
+    No extra vertices are added, so the lifted count is the sum of the
+    kernel counts.
     """
-    in_set = {v: 0 for v in range(graph.n)}
-    extras: list[int] = []
     kernel_entries = [entry for entry in log if entry["op"] == "kernel"]
     if len(kernel_entries) != len(kernel_certificates):
         raise ValueError("one certificate per kernel is required")
+    asm = Assembly(graph.n)
     for entry, cert in zip(kernel_entries, kernel_certificates):
-        to_orig = entry["vertices"]
-        k = len(to_orig)
-        digraph = cert.digraph
-        for w in range(k):
-            for a in bits(digraph.inn[w]):
-                if a >= k:
-                    raise ValueError("kernel certificate has an arc out of an extra vertex")
-                in_set[to_orig[w]] |= 1 << to_orig[a]
-        for e in range(k, digraph.n):
-            members = 0
-            for a in bits(digraph.inn[e]):
-                members |= 1 << to_orig[a]
-            extras.append(members)
+        asm.absorb(cert, entry["vertices"])
+    in_set = asm.in_set
     for entry in reversed(log):
         if entry["op"] == "delete-pendants":
             for v, neighbor in entry["pairs"]:
@@ -362,13 +349,7 @@ def lift_reductions(
             for j in range(1, len(ordered)):
                 for i in range(j):
                     in_set[ordered[j]] |= 1 << ordered[i]
-    arcs = []
-    for w in range(graph.n):
-        arcs.extend((a, w) for a in bits(in_set[w]))
-    for j, members in enumerate(extras):
-        arcs.extend((s, graph.n + j) for s in bits(members))
-    digraph = Digraph(graph.n + len(extras), arcs)
-    return validate_phylogeny_digraph(digraph, range(graph.n), graph)
+    return asm.certificate(graph)
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,6 @@ def canonical_labeling(graph: Graph) -> tuple[int, ...]:
     if n == 0:
         return ()
     adj = graph.adj
-    best: list[int] | None = None
-    best_order: tuple[int, ...] | None = None
 
     def code_of(order: list[int]) -> list[int]:
         code = []
@@ -138,29 +136,26 @@ def canonical_labeling(graph: Graph) -> tuple[int, ...]:
                 code.append(1 if (adj[order[i]] >> oj) & 1 else 0)
         return code
 
-    def search(partition: list[list[int]]) -> None:
-        nonlocal best, best_order
+    def search(partition: list[list[int]]) -> tuple[list[int], tuple[int, ...]]:
+        """The least (code, order) leaf below ``partition``, the first on ties."""
         partition = _refine(adj, partition)
         target = next((i for i, cell in enumerate(partition) if len(cell) > 1), None)
         if target is None:
             order = [cell[0] for cell in partition]
-            code = code_of(order)
-            if best is None or code < best:
-                best = code
-                best_order = tuple(order)
-            return
+            return code_of(order), tuple(order)
         cell = partition[target]
         tried: list[int] = []
+        leaves = []
         for v in cell:
             if any(_twins(adj, u, v) for u in tried):
                 continue
             tried.append(v)
             rest = [u for u in cell if u != v]
-            search(partition[:target] + [[v], rest] + partition[target + 1:])
+            leaves.append(search(partition[:target] + [[v], rest] + partition[target + 1:]))
+        # the first vertex of the cell is always tried, so there is a leaf
+        return min(leaves, key=lambda leaf: leaf[0])
 
-    search([list(range(n))])
-    assert best_order is not None
-    return best_order
+    return search([list(range(n))])[1]
 
 
 def canonical_graph(graph: Graph) -> Graph:

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .derived import PhyloCertificate, validate_phylogeny_digraph
+from .derived import Assembly, PhyloCertificate, validate_phylogeny_digraph
 from .errors import (
     ConditionViolated,
+    CrossCheckFailed,
     Disconnected,
     NotTriangleFree,
     UnknownName,
@@ -192,27 +193,14 @@ def construct_gminus_caring(graph: Graph) -> tuple[PhyloCertificate, bool]:
     triangle-deleted graph is connected.
     """
     report = sandwich_census(graph)
-    arcs: list[tuple[int, int]] = []
-    extra = graph.n
+    asm = Assembly(graph.n)
     for comp in report.g_minus_components:
         sub, order = report.g_minus.induced_subgraph(comp)
-        cert = construct_triangle_free(sub)
-        for t, h in cert.digraph.sorted_arcs():
-            tt = order[t] if t < sub.n else None
-            hh = order[h] if h < sub.n else None
-            if tt is None:
-                raise AssertionError("triangle-free construction made an extra a tail")
-            if hh is None:
-                arcs.append((tt, extra + (h - sub.n)))
-            else:
-                arcs.append((tt, hh))
-        extra += cert.extra_count
+        asm.absorb(construct_triangle_free(sub), order)
     for triangle in report.triangle_list:
-        arcs.extend((v, extra) for v in triangle)
-        extra += 1
-    cert = validate_phylogeny_digraph(Digraph(extra, arcs), range(graph.n), graph)
+        asm.new_extra(sum(1 << v for v in triangle))
     optimal = len(report.g_minus_components) == 1
-    return cert, optimal
+    return asm.certificate(graph), optimal
 
 
 # ---------------------------------------------------------------------------
@@ -233,33 +221,14 @@ class ConstructionTrace:
 
     def to_json(self) -> list[dict]:
         """Steps as {op, params, added_vertices, added_arcs} records."""
-        n = self.certificate.digraph.n - self.certificate.extra_count
+        asm = Assembly(self.certificate.digraph.n - self.certificate.extra_count)
         out = []
         for step in self.steps:
-            op = step["op"]
-            params = {k: v for k, v in step.items() if k != "op"}
-            added_vertices: list[int] = []
-            added_arcs: list[list[int]] = []
-            if op == "solved-base":
-                added_vertices = [n + eid for eid, _ in step["extras"]]
-                added_arcs = [list(a) for a in step["in_arcs"]]
-                added_arcs += [
-                    [s, n + eid] for eid, members in step["extras"] for s in members
-                ]
-            elif op == "caring-vertex-absorbs":
-                added_arcs = [[step["vertex"], n + step["extra"]]]
-            elif op == "add-arc":
-                added_arcs = [[step["tail"], step["head"]]]
-            elif op == "new-extra":
-                added_vertices = [n + step["extra"]]
-                added_arcs = [[s, n + step["extra"]] for s in step["members"]]
-            elif op == "reroute-in-arcs":
-                added_vertices = [n + step["extra"]]
-                added_arcs = [[s, n + step["extra"]] for s in step["members"]]
+            added_vertices, added_arcs = _apply_step(asm, step)
             out.append(
                 {
-                    "op": op,
-                    "params": params,
+                    "op": step["op"],
+                    "params": {k: v for k, v in step.items() if k != "op"},
                     "added_vertices": added_vertices,
                     "added_arcs": added_arcs,
                 }
@@ -267,93 +236,114 @@ class ConstructionTrace:
         return out
 
 
-class _Assembly:
-    """Mutable in-neighborhood view of the digraph under construction.
+def _apply_step(asm: Assembly, step: dict) -> tuple[list[int], list[list[int]]]:
+    """Apply one recorded step; return the digraph vertices and arcs it adds.
 
-    Base vertices are the original graph's ids; extras are numbered
-    globally in creation order and must stay sinks throughout.
+    The only code that changes the upper construction's assembly, so the
+    build, :func:`replay_trace` and :meth:`ConstructionTrace.to_json`
+    cannot drift apart.  Raises :class:`ValueError` on an unknown op or
+    an extra id out of creation order.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.in_set = [0] * n
-        self.extras: list[int] = []
-
-    def new_extra(self, members: int) -> int:
-        self.extras.append(members)
-        return len(self.extras) - 1
-
-    def has_arc(self, a: int, b: int) -> bool:
-        return bool(self.in_set[b] >> a & 1)
-
-    def extra_carers(self, a: int, b: int) -> list[int]:
-        need = (1 << a) | (1 << b)
-        return [j for j, m in enumerate(self.extras) if m & need == need]
-
-    def base_carers(self, a: int, b: int) -> list[int]:
-        need = (1 << a) | (1 << b)
-        return [
-            h
-            for h in range(self.n)
-            if h != a and h != b and self.in_set[h] & need == need
-        ]
-
-    def is_cared(self, a: int, b: int) -> bool:
-        if self.has_arc(a, b) or self.has_arc(b, a):
-            return False
-        return bool(self.extra_carers(a, b) or self.base_carers(a, b))
-
-    def to_digraph(self) -> Digraph:
-        arcs = []
-        for w in range(self.n):
-            arcs.extend((a, w) for a in bits(self.in_set[w]))
-        for j, members in enumerate(self.extras):
-            arcs.extend((s, self.n + j) for s in bits(members))
-        return Digraph(self.n + len(self.extras), arcs)
+    op = step["op"]
+    n = asm.n
+    if op in ("remove-diamond-center-edges", "remove-triangle-edge"):
+        return [], []
+    if op == "add-arc":
+        asm.in_set[step["head"]] |= 1 << step["tail"]
+        return [], [[step["tail"], step["head"]]]
+    if op == "caring-vertex-absorbs":
+        if not 0 <= step["extra"] < len(asm.extras):
+            raise ValueError(f"trace step absorbs into unknown extra {step['extra']}")
+        asm.extras[step["extra"]] |= 1 << step["vertex"]
+        return [], [[step["vertex"], n + step["extra"]]]
+    arcs: list[list[int]] = []
+    if op == "solved-base":
+        for t, h in step["in_arcs"]:
+            asm.in_set[h] |= 1 << t
+        arcs = [list(a) for a in step["in_arcs"]]
+        fresh = step["extras"]
+    elif op == "new-extra":
+        fresh = [(step["extra"], step["members"])]
+    elif op == "reroute-in-arcs":
+        asm.in_set[step["vertex"]] = 0
+        fresh = [(step["extra"], step["members"])]
+    else:
+        raise ValueError(f"unknown trace op {op!r}")
+    for extra, members in fresh:
+        if extra != len(asm.extras):
+            raise ValueError(f"trace step {op!r} creates extra {extra} out of order")
+        asm.new_extra(sum(1 << v for v in members))
+        arcs.extend([s, n + extra] for s in members)
+    return [n + extra for extra, _ in fresh], arcs
 
 
-def _absorb_certificate(asm: _Assembly, cert: PhyloCertificate, order: Sequence[int], steps: list[dict]) -> None:
-    """Copy a solved sub-certificate into the assembly under an id mapping."""
-    digraph = cert.digraph
-    k = len(order)
-    base_ids = set(range(k))
-    in_arcs = []
-    extras = []
-    for w in range(k):
-        for a in bits(digraph.inn[w]):
-            if a not in base_ids:
-                raise AssertionError("solver witness has an arc out of an extra vertex")
-            in_arcs.append((order[a], order[w]))
-    for e in range(k, digraph.n):
-        if digraph.out[e]:
-            raise AssertionError("solver witness has an arc out of an extra vertex")
-        members = 0
-        for a in bits(digraph.inn[e]):
-            members |= 1 << order[a]
-        extras.append((asm.new_extra(members), sorted(bits(members))))
-    for t, h in in_arcs:
-        asm.in_set[h] |= 1 << t
-    steps.append(
-        {
-            "op": "solved-base",
-            "vertices": list(order),
-            "in_arcs": sorted(in_arcs),
-            "extras": extras,
-        }
+def _record(asm: Assembly, steps: list[dict], **step) -> None:
+    _apply_step(asm, step)
+    steps.append(step)
+
+
+def _check(condition: bool, message: str) -> None:
+    """Raise :class:`CrossCheckFailed` when a proof invariant fails to hold."""
+    if not condition:
+        raise CrossCheckFailed(f"upper construction: {message}")
+
+
+def _has_arc(asm: Assembly, a: int, b: int) -> bool:
+    return bool(asm.in_set[b] >> a & 1)
+
+
+def _check_sole_arc(asm: Assembly, tail: int, head: int) -> None:
+    _check(asm.in_set[head] == 1 << tail, "an edge on no triangle must be its head's only in-arc")
+
+
+def _extra_carers(asm: Assembly, a: int, b: int) -> list[int]:
+    need = (1 << a) | (1 << b)
+    return [j for j, m in enumerate(asm.extras) if m & need == need]
+
+
+def _base_carers(asm: Assembly, a: int, b: int) -> list[int]:
+    need = (1 << a) | (1 << b)
+    return [h for h in range(asm.n) if h != a and h != b and asm.in_set[h] & need == need]
+
+
+def _is_cared(asm: Assembly, a: int, b: int) -> bool:
+    if _has_arc(asm, a, b) or _has_arc(asm, b, a):
+        return False
+    return bool(_extra_carers(asm, a, b) or _base_carers(asm, a, b))
+
+
+def _cared_extra(asm: Assembly, a: int, b: int) -> int:
+    """The extra caring for the cared edge ab, which lies on no triangle."""
+    carers = _extra_carers(asm, a, b)
+    _check(
+        bool(carers) and not _base_carers(asm, a, b),
+        "an edge on no triangle must be cared for by an extra vertex",
     )
+    j = carers[0]
+    _check(
+        asm.extras[j] == (1 << a) | (1 << b),
+        "an extra caring for an edge on no triangle has only its ends",
+    )
+    return j
 
 
 def _edge_on_triangle(graph: Graph, u: int, v: int) -> bool:
     return bool(graph.adj[u] & graph.adj[v])
 
 
-def _build_upper(graph: Graph, order: Sequence[int], asm: _Assembly, steps: list[dict], solver_cap: int) -> None:
+def _build_upper(graph: Graph, order: Sequence[int], asm: Assembly, steps: list[dict], solver_cap: int) -> None:
     """Recursive proof-following construction; ids in ``asm`` are original."""
     report = sandwich_census(graph)
 
     if report.t <= 2:
-        result = phylogeny_number_exact(graph, cap=solver_cap)
-        _absorb_certificate(asm, result.witness, order, steps)
+        part = Assembly(asm.n)
+        part.absorb(phylogeny_number_exact(graph, cap=solver_cap).witness, order)
+        first = len(asm.extras)
+        _record(
+            asm, steps, op="solved-base", vertices=list(order),
+            in_arcs=sorted((t, h) for h in range(part.n) for t in bits(part.in_set[h])),
+            extras=[(first + j, sorted(bits(members))) for j, members in enumerate(part.extras)],
+        )
         return
 
     if report.d >= 1:
@@ -362,27 +352,29 @@ def _build_upper(graph: Graph, order: Sequence[int], asm: _Assembly, steps: list
         y, w = sorted(set(quad) - {x, z})
         deleted = [tuple(sorted((x, z))), tuple(sorted((y, z))), tuple(sorted((w, z)))]
         g_star = graph.without_edges(deleted)
-        assert not _edge_on_triangle(g_star, x, y) and not _edge_on_triangle(g_star, x, w)
+        _check(
+            not _edge_on_triangle(g_star, x, y) and not _edge_on_triangle(g_star, x, w),
+            "a rim edge at x still lies on a triangle",
+        )
         ox, oy, oz, ow = order[x], order[y], order[z], order[w]
-        steps.append(
-            {
-                "op": "remove-diamond-center-edges",
-                "diamond": [order[q] for q in quad],
-                "shared_edge": [ox, oz],
-                "deleted": [[order[a], order[b]] for a, b in deleted],
-            }
+        _record(
+            asm, steps, op="remove-diamond-center-edges", diamond=[order[q] for q in quad],
+            shared_edge=[ox, oz], deleted=[[order[a], order[b]] for a, b in deleted],
         )
         comps = connected_components(g_star)
         if len(comps) == 2:
             comp_x = next(c for c in comps if x in c)
             comp_z = next(c for c in comps if z in c)
-            assert comp_x is not comp_z and y in comp_x and w in comp_x
+            _check(
+                comp_x is not comp_z and y in comp_x and w in comp_x,
+                "the rim must stay on x's side when the diamond splits the graph",
+            )
             for comp in (comp_x, comp_z):
                 sub, sub_order = g_star.induced_subgraph(comp)
                 _build_upper(sub, [order[v] for v in sub_order], asm, steps, solver_cap)
             _repair_diamond(asm, steps, ox, oy, oz, ow, new_vertex_allowed=False)
         else:
-            assert len(comps) == 1
+            _check(len(comps) == 1, "deleting the center edges left over two components")
             _build_upper(g_star, order, asm, steps, solver_cap)
             _repair_diamond(asm, steps, ox, oy, oz, ow, new_vertex_allowed=True)
         return
@@ -392,142 +384,105 @@ def _build_upper(graph: Graph, order: Sequence[int], asm: _Assembly, steps: list
         common = graph.adj[u] & graph.adj[v]
         if common:
             third = list(bits(common))
-            assert len(third) == 1, "edge on two triangles in a diamond-free graph"
+            _check(len(third) == 1, "edge on two triangles in a diamond-free graph")
             w = third[0]
             break
     g_one = graph.without_edges([(u, v)])
     ou, ov, ow = order[u], order[v], order[w]
-    steps.append(
-        {
-            "op": "remove-triangle-edge",
-            "edge": [ou, ov],
-            "triangle": sorted((ou, ov, ow)),
-        }
-    )
+    _record(asm, steps, op="remove-triangle-edge", edge=[ou, ov], triangle=sorted((ou, ov, ow)))
     _build_upper(g_one, order, asm, steps, solver_cap)
     _repair_triangle(asm, steps, ou, ov, ow)
 
 
-def _repair_triangle(asm: _Assembly, steps: list[dict], u: int, v: int, w: int) -> None:
+def _repair_triangle(asm: Assembly, steps: list[dict], u: int, v: int, w: int) -> None:
     """Re-realize the deleted edge uv using the surviving edges uw, vw."""
     for p, q in ((u, v), (v, u)):
-        if asm.is_cared(p, w):
-            carers = asm.extra_carers(p, w)
-            assert carers and not asm.base_carers(p, w), (
-                "edge off every triangle must be cared for by an extra vertex"
-            )
-            j = carers[0]
-            assert asm.extras[j] == (1 << p) | (1 << w)
-            asm.extras[j] |= 1 << q
-            steps.append(
-                {"op": "caring-vertex-absorbs", "subcase": "triangle-cared",
-                 "extra": j, "vertex": q}
+        if _is_cared(asm, p, w):
+            _record(
+                asm, steps, op="caring-vertex-absorbs", subcase="triangle-cared",
+                extra=_cared_extra(asm, p, w), vertex=q,
             )
             return
     # both uw and vw are realized by arcs; direct the new arc at the
     # lowest-labelled endpoint of the deleted edge
     labeling = acyclic_labeling(asm.to_digraph())
     lu, lv, lw = labeling.value_of(u), labeling.value_of(v), labeling.value_of(w)
-    assert lw > min(lu, lv), "the apex cannot carry the least label"
+    _check(lw > min(lu, lv), "the apex cannot carry the least label")
     p, q = (u, v) if lu < lv else (v, u)
-    assert asm.has_arc(w, p), "arc into the least-labelled endpoint must come from the apex"
-    assert asm.in_set[p] == 1 << w
-    asm.in_set[p] |= 1 << q
-    steps.append(
-        {"op": "add-arc", "subcase": "triangle-arcs", "tail": q, "head": p}
-    )
+    _check_sole_arc(asm, w, p)
+    _record(asm, steps, op="add-arc", subcase="triangle-arcs", tail=q, head=p)
 
 
-def _repair_diamond(asm: _Assembly, steps: list[dict], x: int, y: int, z: int, w: int, new_vertex_allowed: bool) -> None:
+def _repair_diamond(asm: Assembly, steps: list[dict], x: int, y: int, z: int, w: int, new_vertex_allowed: bool) -> None:
     """Re-realize the three deleted edges xz, yz, wz of a diamond.
 
     ``new_vertex_allowed`` distinguishes the connected case (one fresh
     vertex is within budget) from the disconnected case (none is).
     """
-    xy_cared = asm.is_cared(x, y)
-    xw_cared = asm.is_cared(x, w)
+    xy_cared = _is_cared(asm, x, y)
+    xw_cared = _is_cared(asm, x, w)
 
-    def cared_extra(a: int, b: int) -> int:
-        carers = asm.extra_carers(a, b)
-        assert carers and not asm.base_carers(a, b)
-        j = carers[0]
-        assert asm.extras[j] == (1 << a) | (1 << b)
-        return j
+    def absorb_z(extra: int, subcase: str) -> None:
+        _record(asm, steps, op="caring-vertex-absorbs", subcase=subcase, extra=extra, vertex=z)
+
+    def arc_from_z(head: int, subcase: str) -> None:
+        _record(asm, steps, op="add-arc", subcase=subcase, tail=z, head=head)
 
     if not new_vertex_allowed:
         if xy_cared and xw_cared:
-            a = cared_extra(x, y)
-            b = cared_extra(x, w)
-            assert a != b
-            asm.extras[a] |= 1 << z
-            asm.extras[b] |= 1 << z
-            steps.append({"op": "caring-vertex-absorbs", "subcase": "split-both-cared", "extra": a, "vertex": z})
-            steps.append({"op": "caring-vertex-absorbs", "subcase": "split-both-cared", "extra": b, "vertex": z})
+            a = _cared_extra(asm, x, y)
+            b = _cared_extra(asm, x, w)
+            _check(a != b, "the two rim edges must have distinct caring vertices")
+            absorb_z(a, "split-both-cared")
+            absorb_z(b, "split-both-cared")
             return
         if xy_cared or xw_cared:
             p, q = (y, w) if xy_cared else (w, y)
-            c = cared_extra(x, p)
-            asm.extras[c] |= 1 << z
-            steps.append({"op": "caring-vertex-absorbs", "subcase": "split-one-cared", "extra": c, "vertex": z})
-            if asm.has_arc(x, q):
-                assert asm.in_set[q] == 1 << x
-                asm.in_set[q] |= 1 << z
-                steps.append({"op": "add-arc", "subcase": "split-one-cared", "tail": z, "head": q})
-            else:
-                assert asm.has_arc(q, x) and asm.in_set[x] == 1 << q
-                asm.in_set[x] |= 1 << z
-                steps.append({"op": "add-arc", "subcase": "split-one-cared", "tail": z, "head": x})
+            absorb_z(_cared_extra(asm, x, p), "split-one-cared")
+            tail, head = (x, q) if _has_arc(asm, x, q) else (q, x)
+            _check_sole_arc(asm, tail, head)
+            arc_from_z(head, "split-one-cared")
             return
-        heads = _diamond_arc_heads(asm, x, y, w)
-        for h in heads:
-            asm.in_set[h] |= 1 << z
-            steps.append({"op": "add-arc", "subcase": "split-no-cared", "tail": z, "head": h})
+        for h in _diamond_arc_heads(asm, x, y, w):
+            arc_from_z(h, "split-no-cared")
         return
 
     if xy_cared or xw_cared:
         p, q = (y, w) if xy_cared else (w, y)
-        a = cared_extra(x, p)
-        asm.extras[a] |= 1 << z
-        steps.append({"op": "caring-vertex-absorbs", "subcase": "joined-one-cared", "extra": a, "vertex": z})
-        members = (1 << x) | (1 << q) | (1 << z)
-        b = asm.new_extra(members)
-        steps.append(
-            {"op": "new-extra", "subcase": "joined-one-cared", "extra": b,
-             "members": sorted(bits(members))}
+        absorb_z(_cared_extra(asm, x, p), "joined-one-cared")
+        _record(
+            asm, steps, op="new-extra", subcase="joined-one-cared",
+            extra=len(asm.extras), members=sorted((x, q, z)),
         )
         return
 
     # neither cared: give z's old in-arcs to a fresh caring vertex so z has
     # indegree zero, then point z at the arc heads among the diamond rim
-    members = asm.in_set[z] | (1 << z)
-    asm.in_set[z] = 0
-    c = asm.new_extra(members)
-    steps.append(
-        {"op": "reroute-in-arcs", "subcase": "joined-no-cared", "vertex": z,
-         "extra": c, "members": sorted(bits(members))}
+    _record(
+        asm, steps, op="reroute-in-arcs", subcase="joined-no-cared", vertex=z,
+        extra=len(asm.extras), members=sorted(bits(asm.in_set[z] | (1 << z))),
     )
-    assert asm.in_set[z] == 0
+    _check(asm.in_set[z] == 0, "z must have no in-arcs after the reroute")
     for h in _diamond_arc_heads(asm, x, y, w):
-        asm.in_set[h] |= 1 << z
-        steps.append({"op": "add-arc", "subcase": "joined-no-cared", "tail": z, "head": h})
+        arc_from_z(h, "joined-no-cared")
 
 
-def _diamond_arc_heads(asm: _Assembly, x: int, y: int, w: int) -> tuple[int, int]:
+def _diamond_arc_heads(asm: Assembly, x: int, y: int, w: int) -> tuple[int, int]:
     """Heads of the arcs realizing xy and xw (z will point at them).
 
     The rim vertices y and w are nonadjacent, so the two arcs cannot both
     enter x; pointing z at each arc's head marries z to the tail through
     the head's in-neighborhood and realizes the missing rim edges.
     """
-    if asm.has_arc(y, x):
-        assert asm.in_set[x] == 1 << y
-        assert asm.has_arc(x, w) and asm.in_set[w] == 1 << x
+    if _has_arc(asm, y, x):
+        _check_sole_arc(asm, y, x)
+        _check_sole_arc(asm, x, w)
         return (x, w)
-    assert asm.has_arc(x, y) and asm.in_set[y] == 1 << x
-    if asm.has_arc(w, x):
-        assert asm.in_set[x] == 1 << w
+    _check_sole_arc(asm, x, y)
+    if _has_arc(asm, w, x):
+        _check_sole_arc(asm, w, x)
         return (y, x)
-    assert asm.has_arc(x, w) and asm.in_set[w] == 1 << x
+    _check_sole_arc(asm, x, w)
     return (y, w)
 
 
@@ -541,43 +496,27 @@ def construct_k4free_upper(graph: Graph, solver_cap: int = UPPER_CONSTRUCTION_SO
     bottoms out in the exact solver once at most two triangles remain.
     """
     report = sandwich_census(graph)
-    asm = _Assembly(graph.n)
+    asm = Assembly(graph.n)
     steps: list[dict] = []
     _build_upper(graph, list(range(graph.n)), asm, steps, solver_cap)
-    cert = validate_phylogeny_digraph(asm.to_digraph(), range(graph.n), graph)
+    cert = asm.certificate(graph)
     bound = graph.m - graph.n - report.t + 1
-    assert cert.extra_count <= bound, (
-        f"construction used {cert.extra_count} extras, budget is {bound}"
+    _check(
+        cert.extra_count <= bound,
+        f"construction used {cert.extra_count} extras, budget is {bound}",
     )
     return ConstructionTrace(tuple(steps), cert)
 
 
 def replay_trace(graph: Graph, steps: Iterable[dict]) -> Digraph:
-    """Mechanically re-apply recorded steps; used to audit determinism."""
-    asm = _Assembly(graph.n)
+    """Mechanically re-apply recorded steps; used to audit determinism.
+
+    Raises :class:`ValueError` on an unknown op or an extra id out of
+    creation order.
+    """
+    asm = Assembly(graph.n)
     for step in steps:
-        op = step["op"]
-        if op == "solved-base":
-            for t, h in step["in_arcs"]:
-                asm.in_set[h] |= 1 << t
-            for extra_id, members in step["extras"]:
-                got = asm.new_extra(sum(1 << v for v in members))
-                assert got == extra_id
-        elif op == "caring-vertex-absorbs":
-            asm.extras[step["extra"]] |= 1 << step["vertex"]
-        elif op == "add-arc":
-            asm.in_set[step["head"]] |= 1 << step["tail"]
-        elif op == "new-extra":
-            got = asm.new_extra(sum(1 << v for v in step["members"]))
-            assert got == step["extra"]
-        elif op == "reroute-in-arcs":
-            asm.in_set[step["vertex"]] = 0
-            got = asm.new_extra(sum(1 << v for v in step["members"]))
-            assert got == step["extra"]
-        elif op in ("remove-diamond-center-edges", "remove-triangle-edge"):
-            pass
-        else:
-            raise ValueError(f"unknown trace op {op!r}")
+        _apply_step(asm, step)
     return asm.to_digraph()
 
 
@@ -616,8 +555,9 @@ def restriction_digraph(
     vertices and all extras, and for every vertex whose closed in-
     neighborhood meets the subgraph in a clique of size at least two,
     keeps the arcs from that intersection into it.  The result is
-    guaranteed to induce the subgraph in its phylogeny graph; any failure
-    of that postcondition is a bug, so it is asserted.
+    guaranteed to induce the subgraph in its phylogeny graph; the result
+    is validated, so any failure of that postcondition raises
+    :class:`NotInduced`.
     """
     cert = validate_phylogeny_digraph(digraph, base, target)
     check_subgraph_clique_conditions(target, sub)

@@ -252,7 +252,7 @@ def test_criterion_7_restriction_property():
             if accepted >= 1000:
                 break
             try:
-                # raises AssertionError if the restriction fails to induce
+                # raises NotInduced if the restriction fails to induce
                 # the subgraph, which the statement rules out
                 restriction_digraph(digraph, range(target.n), target, sub)
             except ConditionViolated:

@@ -268,6 +268,25 @@ class TestCatalogAndDot:
         )
         assert "shape=box" in out.read_text()
 
+    @pytest.mark.parametrize(
+        "text, base_size, clause",
+        [("3 3\n0 1\n1 2\n2 0\n", "3", "NotAcyclic"), ("3 1\n2 0\n", "2", "ArcIntoBase")],
+    )
+    def test_export_invalid_certificate_exits_one(self, tmp_path, capsys, text, base_size, clause):
+        path = tmp_path / "bad.digraph"
+        path.write_text(text)
+        args = ["export-dot", str(path), "--kind", "certificate", "--base-size", base_size]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{clause}: ") and captured.out == ""
+
+    @pytest.mark.parametrize("base_size", ["9", "-2"])
+    def test_export_base_size_out_of_range_exits_two(self, tmp_path, capsys, base_size):
+        path = tmp_path / "p3.digraph"
+        path.write_text("3 2\n0 1\n1 2\n")
+        assert main(["export-dot", str(path), "--kind", "certificate", f"--base-size={base_size}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):

@@ -22,6 +22,7 @@ from phylokit.formulas import (
 from phylokit.derived import validate_phylogeny_digraph
 from phylokit.generate import connected_graphs_upto
 from phylokit.graphs import (
+    Digraph,
     Graph,
     complete_graph,
     cycle_graph,
@@ -267,6 +268,18 @@ class TestReductions:
         certs = [phylogeny_number_exact(k).witness for k in kernels]
         lifted = lift_reductions(g, log, certs)
         assert lifted.extra_count == sum(c.extra_count for c in certs)
+        validate_phylogeny_digraph(lifted.digraph, lifted.base, g)
+
+    def test_lift_drops_arcs_out_of_extras(self):
+        g = cycle_graph(4)
+        witness = phylogeny_number_exact(g).witness.digraph
+        # a second extra fed only by the first: valid, and it realizes nothing
+        digraph = Digraph(witness.n + 1, set(witness.arcs) | {(4, 5)})
+        cert = validate_phylogeny_digraph(digraph, range(4), g)
+        assert cert.extra_count == 2
+        _, log = reduce_graph(g)
+        lifted = lift_reductions(g, log, [cert])
+        assert lifted.extra_count == 2
         validate_phylogeny_digraph(lifted.digraph, lifted.base, g)
 
 

@@ -34,6 +34,7 @@ from phylokit.witness import (
     replay_trace,
     restriction_digraph,
 )
+from test_formulas import raises_under_optimization
 
 
 class TestTriangleFreeConstruction:
@@ -133,6 +134,27 @@ class TestUpperConstruction:
     def test_rejects_out_of_scope(self):
         with pytest.raises(HypothesisViolated):
             construct_k4free_upper(complete_graph(4))
+
+    def test_budget_checked_under_optimization(self):
+        # a base case with one dedicated extra per edge blows the budget
+        assert raises_under_optimization(
+            "import phylokit.witness as w\n"
+            "from phylokit.graphs import Digraph\n"
+            "from phylokit.results import PhyloResult\n"
+            "def solver(g, cap):\n"
+            "    arcs = [(v, g.n + i) for i, e in enumerate(g.sorted_edges()) for v in e]\n"
+            "    cert = w.validate_phylogeny_digraph(Digraph(g.n + g.m, arcs), range(g.n), g)\n"
+            "    return PhyloResult('exact', 'solver', g.m, witness=cert)\n"
+            "w.phylogeny_number_exact = solver\n"
+            "w.construct_k4free_upper(w.figure_catalog('fig3_G1'))"
+        )
+
+    @pytest.mark.parametrize("op", ["new-extra", "reroute-in-arcs"])
+    def test_replay_rejects_extra_out_of_order(self, op):
+        g = figure_catalog("fig3_G2")
+        steps = [{"op": op, "vertex": 0, "extra": 1, "members": [0, 1]}]
+        with pytest.raises(ValueError):
+            replay_trace(g, steps)
 
     def test_budget_on_all_small_in_scope(self):
         for g in connected_graphs_upto(6):
