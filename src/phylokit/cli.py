@@ -36,7 +36,7 @@ from .formulas import (
     lower_bound_clique_cover,
     phylogeny_number_auto,
 )
-from .generate import graph6_decode, graph6_encode
+from .generate import GENERATOR_CAP, graph6_decode, graph6_encode
 from .graphs import (
     Graph,
     format_digraph,
@@ -153,8 +153,8 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.max_n > 8 and args.graph6 is None:
-        print("error: the native generator is capped at --max-n 8", file=sys.stderr)
+    if args.max_n > GENERATOR_CAP and args.graph6 is None:
+        print(f"error: the native generator is capped at --max-n {GENERATOR_CAP}", file=sys.stderr)
         return EXIT_PARSE
     lines = None
     if args.graph6 == "-":
@@ -175,17 +175,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    for record in run_sweep(graphs, options, threads=args.threads):
-        print(json.dumps(record.to_json()))
-        if not record.ok:
-            bad = [name for name, ok in record.checks.items() if not ok]
-            print(
-                f"disagreement on {record.graph_id}: {', '.join(bad)}",
-                file=sys.stderr,
-            )
-            print(f"graph6: {record.graph_id}", file=sys.stderr)
-            print(format_graph(graph6_decode(record.graph_id)), file=sys.stderr)
-            return EXIT_SWEEP_DISAGREEMENT
+    try:
+        for record in run_sweep(graphs, options, threads=args.threads):
+            print(json.dumps(record.to_json()))
+            if not record.ok:
+                bad = [name for name, ok in record.checks.items() if not ok]
+                print(
+                    f"disagreement on {record.graph_id}: {', '.join(bad)}",
+                    file=sys.stderr,
+                )
+                print(f"graph6: {record.graph_id}", file=sys.stderr)
+                print(format_graph(graph6_decode(record.graph_id)), file=sys.stderr)
+                return EXIT_SWEEP_DISAGREEMENT
+    except TooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     return EXIT_OK
 
 

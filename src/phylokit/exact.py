@@ -12,13 +12,12 @@ deepening on the number of extras, so the first success is minimal.
 from __future__ import annotations
 
 import time
-from itertools import combinations
 
 from .derived import Assembly, PhyloCertificate
 from .errors import CrossCheckFailed, Infeasible, TooLarge
 from .graphs import Graph, bits, connected_components
 from .results import PhyloResult
-from .structure import edge_clique_cover_number, maximal_cliques, triangle_edges
+from .structure import EdgeCliqueTable, edge_clique_cover_number, triangle_edges
 
 __all__ = [
     "SOLVER_CAP_DEFAULT",
@@ -38,8 +37,9 @@ class _HeadSearch:
     Branches on the lexicographically smallest uncovered edge uv: every
     candidate head h of uv (ascending id), extending h's in-set by the
     endpoints other than h, then a fresh extra per maximal clique
-    containing uv (largest clique first).  Completeness: any valid
-    assignment can be replayed through these moves edge by edge.
+    containing uv, in the order of the graph's :class:`EdgeCliqueTable`.
+    Completeness: any valid assignment can be replayed through these
+    moves edge by edge.
 
     The two solvers differ only in the moves built here.  For the
     phylogeny number the head joins the clique it marries, so it must be
@@ -52,25 +52,13 @@ class _HeadSearch:
     def __init__(self, graph: Graph, head_joins: bool):
         self.graph = graph
         self.n = graph.n
-        self.edge_list = graph.sorted_edges()
-        self.edge_index = {e: i for i, e in enumerate(self.edge_list)}
-        self.all_covered = (1 << len(self.edge_list)) - 1
-        self._pairs_cache: dict[int, int] = {}
-        by_edge: list[list[int]] = [[] for _ in self.edge_list]
-        for clique in maximal_cliques(graph):
-            if len(clique) < 2:
-                continue
-            cmask = 0
-            for v in clique:
-                cmask |= 1 << v
-            for a, b in combinations(clique, 2):
-                by_edge[self.edge_index[(a, b)]].append(cmask)
-        for options in by_edge:
-            options.sort(key=lambda m: (-m.bit_count(), m))
-        self.max_cliques_by_edge = by_edge
+        table = EdgeCliqueTable(graph)
+        self.all_covered = table.full
+        self.pairs_mask = table.pairs_mask
+        self.cliques_on = table.cliques_on
         # per edge: (head, head bit, tails to add, head bit if it joins the clique)
         self.head_moves: list[list[tuple[int, int, int, int]]] = []
-        for u, v in self.edge_list:
+        for u, v in table.edges:
             euv = (1 << u) | (1 << v)
             if head_joins:
                 heads = euv | (graph.adj[u] & graph.adj[v])
@@ -80,21 +68,6 @@ class _HeadSearch:
                 (h, 1 << h, euv & ~(1 << h), (1 << h) if head_joins else 0)
                 for h in bits(heads)
             ])
-
-    def pairs_mask(self, vertex_mask: int) -> int:
-        """Edge-index mask of all target edges inside a vertex mask."""
-        cached = self._pairs_cache.get(vertex_mask)
-        if cached is not None:
-            return cached
-        acc = 0
-        members = list(bits(vertex_mask))
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                idx = self.edge_index.get((a, b))
-                if idx is not None:
-                    acc |= 1 << idx
-        self._pairs_cache[vertex_mask] = acc
-        return acc
 
     def reaches(self, start: int, targets: int) -> bool:
         """True iff some target vertex is reachable from start along arcs."""
@@ -110,6 +83,26 @@ class _HeadSearch:
                 nxt |= out_mask[a]
             frontier = nxt & ~seen
         return False
+
+    def deepen(self, start: int, max_extras: int | None = None, deadline: float | None = None) -> int:
+        """The least budget from ``start`` on at which the search succeeds.
+
+        ``max_extras`` and ``deadline`` (a ``time.monotonic`` instant)
+        abort with :class:`TooLarge` instead of truncating.  One dedicated
+        extra per edge always succeeds, so deepening past ``m`` is a
+        bug.
+        """
+        budget = start
+        while True:
+            if max_extras is not None and budget > max_extras:
+                raise TooLarge(f"no certificate within {max_extras} extra vertices")
+            if deadline is not None and time.monotonic() > deadline:
+                raise TooLarge("time budget exhausted before the search finished")
+            if self.run(budget):
+                return budget
+            budget += 1
+            if budget > self.graph.m:
+                raise CrossCheckFailed("deepening exceeded the trivial upper bound")
 
     def run(self, budget: int) -> bool:
         # the search state is the assembly of the certificate it finds
@@ -146,9 +139,9 @@ class _HeadSearch:
             for a in bits(new_tails):
                 out_mask[a] &= ~hb
         if len(self.extras) < self.budget:
-            for cmask in self.max_cliques_by_edge[ei]:
-                self.extras.append(cmask)
-                if self._dfs(covered | self.pairs_mask(cmask)):
+            for vertex_mask, edge_mask in self.cliques_on[ei]:
+                self.extras.append(vertex_mask)
+                if self._dfs(covered | edge_mask):
                     return True
                 self.extras.pop()
         return False
@@ -175,26 +168,16 @@ def phylogeny_number_exact(
     if graph.n > cap:
         raise TooLarge(f"exact solver capped at {cap} vertices (got {graph.n})")
     search = _HeadSearch(graph, head_joins=True)
-    r = 0
-    while True:
-        if max_extras is not None and r > max_extras:
-            raise TooLarge(f"no certificate within {max_extras} extra vertices")
-        if deadline is not None and time.monotonic() > deadline:
-            raise TooLarge("time budget exhausted before the search finished")
-        if search.run(r):
-            witness = search.certificate()
-            if witness.extra_count != r:
-                raise CrossCheckFailed(f"solver found {r} extras, witness has {witness.extra_count}")
-            return PhyloResult(
-                kind="exact",
-                method="solver",
-                value=r,
-                witness=witness if want_witness else None,
-            )
-        r += 1
-        # one dedicated extra per edge always succeeds, so this cannot run away
-        if r > graph.m:
-            raise CrossCheckFailed("deepening exceeded the trivial upper bound")
+    value = search.deepen(0, max_extras, deadline)
+    witness = search.certificate()
+    if witness.extra_count != value:
+        raise CrossCheckFailed(f"solver found {value} extras, witness has {witness.extra_count}")
+    return PhyloResult(
+        kind="exact",
+        method="solver",
+        value=value,
+        witness=witness if want_witness else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +326,7 @@ def oracle_phylogeny_number(graph: Graph, r_max: int = ORACLE_EXTRA_CAP) -> int:
 # Competition number: the same search with the head outside the clique.
 
 
-def competition_number_exact(
-    graph: Graph,
-    cap: int = SOLVER_CAP_DEFAULT,
-    use_fast_path: bool = True,
-) -> int:
+def competition_number_exact(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> int:
     """Fewest isolated vertices to add so the result is a competition graph.
 
     Connected triangle-free graphs take the classical closed form
@@ -360,16 +339,9 @@ def competition_number_exact(
     if graph.m == 0:
         return 0
     connected = len(connected_components(graph)) == 1
-    if use_fast_path and connected and not triangle_edges(graph):
+    if connected and not triangle_edges(graph):
         return graph.m - graph.n + 2
     start = max(0, edge_clique_cover_number(graph, cap=cap) - graph.n + 2)
     if connected and graph.n >= 2:
         start = max(start, 1)
-    search = _HeadSearch(graph, head_joins=False)
-    k = start
-    while True:
-        if search.run(k):
-            return k
-        k += 1
-        if k > graph.m:
-            raise CrossCheckFailed("deepening exceeded the trivial upper bound")
+    return _HeadSearch(graph, head_joins=False).deepen(start)

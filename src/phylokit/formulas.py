@@ -63,10 +63,11 @@ __all__ = [
     "decompose_equal",
     "phylogeny_number_auto",
     "difference_family",
-    "FAMILY_CAP_DEFAULT",
+    "clique_cover_bound",
+    "FAMILY_CAP",
 ]
 
-FAMILY_CAP_DEFAULT = 16
+FAMILY_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +182,17 @@ def bounds_k4free(graph: Graph) -> PhyloResult:
     return PhyloResult(kind="interval", method="k4free-bounds", lower=lower, upper=upper)
 
 
+def clique_cover_bound(n: int, theta: int) -> int:
+    """theta_e - n + 1 clamped at zero; the bound needs a vertex, so 0 for n = 0."""
+    return max(0, theta - n + 1) if n else 0
+
+
 def lower_bound_clique_cover(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> PhyloResult:
     """The clique-cover lower bound theta_e - n + 1, clamped at zero."""
-    theta = edge_clique_cover_number(graph, cap=cap)
     return PhyloResult(
         kind="lower_bound",
         method="clique-cover-bound",
-        value=max(0, theta - graph.n + 1),
+        value=clique_cover_bound(graph.n, edge_clique_cover_number(graph, cap=cap)),
     )
 
 
@@ -195,16 +200,12 @@ def lower_bound_clique_cover(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> Phy
 # Decomposition machinery.
 
 
-def _part_value(part: Subgraph, cap: int) -> int:
+def _part_value(part: Subgraph) -> int:
     part_graph, _ = part.to_graph()
-    return phylogeny_number_auto(part_graph, cap=cap).value
+    return phylogeny_number_auto(part_graph).value
 
 
-def lower_bound_decomposition(
-    graph: Graph,
-    parts: Sequence[Subgraph],
-    cap: int = SOLVER_CAP_DEFAULT,
-) -> PhyloResult:
+def lower_bound_decomposition(graph: Graph, parts: Sequence[Subgraph]) -> PhyloResult:
     """Sum of part values as a lower bound, for well-separated parts.
 
     The parts must (i) be pairwise edge-disjoint, (ii) have each of their
@@ -229,15 +230,11 @@ def lower_bound_decomposition(
         except ConditionViolated as exc:
             renamed = {"i": "ii", "ii": "iii"}[exc.condition]
             raise ConditionViolated(renamed, f"part {idx}: {exc}", detail=exc.detail) from None
-    total = sum(_part_value(part, cap) for part in parts)
+    total = sum(_part_value(part) for part in parts)
     return PhyloResult(kind="lower_bound", method="subgraph-decomposition-bound", value=total)
 
 
-def lower_bound_triangle_free_subgraph(
-    graph: Graph,
-    sub: Subgraph,
-    cap: int = SOLVER_CAP_DEFAULT,
-) -> PhyloResult:
+def lower_bound_triangle_free_subgraph(graph: Graph, sub: Subgraph) -> PhyloResult:
     """One-part convenience: p(host) >= p(sub) for a triangle-free sub.
 
     Only requires the subgraph's maximal cliques to be maximal in the
@@ -247,7 +244,7 @@ def lower_bound_triangle_free_subgraph(
     part_graph, _ = sub.to_graph()
     if census(part_graph).t:
         raise NotTriangleFree("the subgraph must be triangle-free")
-    result = lower_bound_decomposition(graph, [sub], cap=cap)
+    result = lower_bound_decomposition(graph, [sub])
     return PhyloResult(
         kind="lower_bound",
         method="triangle-free-subgraph-bound",
@@ -356,11 +353,7 @@ def lift_reductions(
 # Exact value by decomposition into vertex-transitive parts.
 
 
-def decompose_equal(
-    graph: Graph,
-    parts: Sequence[Subgraph],
-    cap: int = SOLVER_CAP_DEFAULT,
-) -> PhyloResult:
+def decompose_equal(graph: Graph, parts: Sequence[Subgraph]) -> PhyloResult:
     """Exact sum over parts that partition the edges and isolate cycles.
 
     Verifies (i) the parts are connected and their edge sets partition
@@ -413,7 +406,7 @@ def decompose_equal(
                 "iii",
                 f"fewer than {len(parts) - 1} parts are vertex transitive",
             )
-    total = sum(_part_value(part, cap) for part in parts)
+    total = sum(_part_value(part) for part in parts)
     return PhyloResult(kind="exact", method="vertex-transitive-decomposition", value=total)
 
 
@@ -498,11 +491,7 @@ def phylogeny_number_auto(
 # The family with phylogeny number minus competition number plus one = l.
 
 
-def difference_family(
-    l: int,
-    cap: int = FAMILY_CAP_DEFAULT,
-    verify_k: bool = False,
-) -> tuple[Graph, PhyloResult, int]:
+def difference_family(l: int, verify_k: bool = False) -> tuple[Graph, PhyloResult, int]:
     """Graph with p - k + 1 = l: a complete graph glued to a ladder corner.
 
     For l = 0 the graph is a single edge.  Otherwise a complete graph on
@@ -513,8 +502,8 @@ def difference_family(
     competition number is 1.  ``verify_k`` recomputes it with the exact
     search, which requires the graph to fit the solver cap.
     """
-    if not 0 <= l <= cap:
-        raise CapExceeded(f"family parameter must lie in 0..{cap}")
+    if not 0 <= l <= FAMILY_CAP:
+        raise CapExceeded(f"family parameter must lie in 0..{FAMILY_CAP}")
     if l == 0:
         graph = complete_graph(2)
         p_result = phylogeny_number_auto(graph)

@@ -168,7 +168,7 @@ def canonical_graph6(graph: Graph) -> str:
     return graph6_encode(canonical_graph(graph))
 
 
-def connected_graphs(n: int, cap: int = GENERATOR_CAP) -> list[Graph]:
+def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on exactly n vertices, one per isomorphism class.
 
     Built level by level: every connected graph on k+1 vertices arises
@@ -177,8 +177,8 @@ def connected_graphs(n: int, cap: int = GENERATOR_CAP) -> list[Graph]:
     deleting one of them shows the converse).  Returned in canonical-code
     order, each graph canonically labelled.
     """
-    if n > cap:
-        raise TooLarge(f"generator capped at {cap} vertices (got {n})")
+    if n > GENERATOR_CAP:
+        raise TooLarge(f"generator capped at {GENERATOR_CAP} vertices (got {n})")
     if n < 1:
         return []
     level: dict[str, Graph] = {}
@@ -196,9 +196,9 @@ def connected_graphs(n: int, cap: int = GENERATOR_CAP) -> list[Graph]:
     return [level[key] for key in sorted(level)]
 
 
-def connected_graphs_upto(n_max: int, cap: int = GENERATOR_CAP) -> Iterator[Graph]:
+def connected_graphs_upto(n_max: int) -> Iterator[Graph]:
     for n in range(1, n_max + 1):
-        yield from connected_graphs(n, cap=cap)
+        yield from connected_graphs(n)
 
 
 def all_digraph_arc_sets(n: int) -> Iterator[list[tuple[int, int]]]:

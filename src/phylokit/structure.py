@@ -2,8 +2,9 @@
 
 Everything the closed-form engine dispatches on lives here: the triangle
 and diamond lists, the triangle-edge-deleted graph (written G- below),
-maximal cliques, the exact edge clique cover number, vertex transitivity
-and the block-level features used by the reductions.
+maximal cliques and the per-edge clique table the exact searches branch
+on, the exact edge clique cover number, vertex transitivity and the
+block-level features used by the reductions.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "component_of_gminus",
     "triangle_edges",
     "maximal_cliques",
+    "EdgeCliqueTable",
     "edge_clique_cover_number",
     "is_vertex_transitive",
     "pendant_vertices",
@@ -184,72 +186,90 @@ def maximal_cliques(graph: Graph) -> list[tuple[int, ...]]:
     return cliques
 
 
-def _greedy_incompatible_matching(edges: list[Edge], graph: Graph) -> int:
-    """Greedy count of edges pairwise sharing no clique (lower bound for covers).
+class EdgeCliqueTable:
+    """The maximal cliques on each edge of a graph, indexed by sorted edge.
 
-    Two edges can lie in a common clique iff their four endpoints are
-    pairwise adjacent; edges failing that for all chosen ones are added.
+    ``edges`` is the sorted edge list, ``index`` maps an edge to its
+    position and ``full`` is the mask of every edge index.  For edge
+    ``i``, ``cliques_on[i]`` lists the maximal cliques containing it as
+    (vertex mask, edge mask) pairs, larger clique first, then smaller
+    vertex mask.  The edge clique cover search and the head-assignment
+    search both branch on these lists.
     """
-    chosen: list[Edge] = []
-    for e in edges:
-        eu, ev = e
-        ok = True
-        for cu, cv in chosen:
-            quad = {eu, ev, cu, cv}
-            if graph.is_clique(sum(1 << q for q in quad)):
-                ok = False
-                break
-        if ok:
-            chosen.append(e)
-    return len(chosen)
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.edges = graph.sorted_edges()
+        self.index = {e: i for i, e in enumerate(self.edges)}
+        self.full = (1 << len(self.edges)) - 1
+        self._pairs: dict[int, int] = {}
+        self.cliques_on: list[list[tuple[int, int]]] = [[] for _ in self.edges]
+        for clique in maximal_cliques(graph):
+            if len(clique) < 2:
+                continue
+            ids = [self.index[pair] for pair in combinations(clique, 2)]
+            option = (sum(1 << v for v in clique), sum(1 << i for i in ids))
+            for i in ids:
+                self.cliques_on[i].append(option)
+        for options in self.cliques_on:
+            options.sort(key=lambda option: (-option[0].bit_count(), option[0]))
+
+    def pairs_mask(self, vertex_mask: int) -> int:
+        """Edge-index mask of all edges inside a vertex mask (memoised)."""
+        cached = self._pairs.get(vertex_mask)
+        if cached is not None:
+            return cached
+        acc = 0
+        for a, b in combinations(bits(vertex_mask), 2):
+            idx = self.index.get((a, b))
+            if idx is not None:
+                acc |= 1 << idx
+        self._pairs[vertex_mask] = acc
+        return acc
+
+    def incompatible_count(self, edge_mask: int) -> int:
+        """Greedy count of edges in the mask pairwise sharing no clique.
+
+        A lower bound on the cliques needed to cover those edges: two
+        edges lie in a common clique iff their endpoints are pairwise
+        adjacent, and an edge joins the count when that fails against
+        every edge already counted.
+        """
+        chosen: list[int] = []
+        for i in bits(edge_mask):
+            u, v = self.edges[i]
+            ends = (1 << u) | (1 << v)
+            if not any(self.graph.is_clique(ends | other) for other in chosen):
+                chosen.append(ends)
+        return len(chosen)
 
 
 def edge_clique_cover_number(graph: Graph, cap: int = THETA_CAP_DEFAULT) -> int:
     """Exact minimum number of cliques covering every edge.
 
     Branch and bound: branch on the lexicographically smallest uncovered
-    edge over the maximal cliques containing it (largest first), bounding
-    below with a greedy set of pairwise clique-incompatible edges.
+    edge over the maximal cliques containing it, bounding below with a
+    greedy set of pairwise clique-incompatible edges.
     """
     if graph.n > cap:
         raise TooLarge(f"edge clique cover solver capped at {cap} vertices (got {graph.n})")
     if graph.m == 0:
         return 0
-    edge_list = graph.sorted_edges()
-    edge_index = {e: i for i, e in enumerate(edge_list)}
-    cliques = maximal_cliques(graph)
-    clique_cover_masks: list[int] = []
-    for clique in cliques:
-        mask = 0
-        for a, b in combinations(clique, 2):
-            mask |= 1 << edge_index[(a, b)]
-        clique_cover_masks.append(mask)
-    by_edge: list[list[int]] = [[] for _ in edge_list]
-    for cm, clique in zip(clique_cover_masks, cliques):
-        for i in bits(cm):
-            by_edge[i].append(cm)
-    for i, options in enumerate(by_edge):
-        options.sort(key=lambda m: (-m.bit_count(), m))
-
-    full = (1 << len(edge_list)) - 1
-    best = len(edge_list)  # one clique per edge always works
-
-    def lower_bound(uncovered: int) -> int:
-        remaining = [edge_list[i] for i in bits(uncovered)]
-        return _greedy_incompatible_matching(remaining, graph)
+    table = EdgeCliqueTable(graph)
+    best = graph.m  # one clique per edge always works
 
     def search(uncovered: int, used: int) -> None:
         nonlocal best
         if uncovered == 0:
             best = min(best, used)
             return
-        if used + lower_bound(uncovered) >= best:
+        if used + table.incompatible_count(uncovered) >= best:
             return
         first = (uncovered & -uncovered).bit_length() - 1
-        for cm in by_edge[first]:
-            search(uncovered & ~cm, used + 1)
+        for _, edge_mask in table.cliques_on[first]:
+            search(uncovered & ~edge_mask, used + 1)
 
-    search(full, 0)
+    search(table.full, 0)
     return best
 
 
@@ -291,14 +311,14 @@ def _automorphism_exists(graph: Graph, image_of_zero: int) -> bool:
     return backtrack(1)
 
 
-def is_vertex_transitive(graph: Graph, cap: int = TRANSITIVITY_CAP) -> bool:
+def is_vertex_transitive(graph: Graph) -> bool:
     """Whether the automorphism group acts transitively on the vertices.
 
     Brute force over degree-compatible vertex maps; capped because this
     is only ever applied to small decomposition parts.
     """
-    if graph.n > cap:
-        raise TooLarge(f"vertex transitivity check capped at {cap} vertices (got {graph.n})")
+    if graph.n > TRANSITIVITY_CAP:
+        raise TooLarge(f"vertex transitivity check capped at {TRANSITIVITY_CAP} vertices (got {graph.n})")
     if graph.n <= 1:
         return True
     degs = {graph.degree(v) for v in range(graph.n)}

@@ -15,8 +15,8 @@ from typing import Iterable, Iterator
 
 from .derived import check_nontriangle_edge_arcs, validate_phylogeny_digraph
 from .errors import ArcRuleViolated, CertificateError, HypothesisViolated, Infeasible
-from .exact import oracle_phylogeny_number, phylogeny_number_exact
-from .formulas import bounds_k4free, formula_dispatch, lower_bound_clique_cover
+from .exact import SOLVER_CAP_DEFAULT, oracle_phylogeny_number, phylogeny_number_exact
+from .formulas import bounds_k4free, clique_cover_bound, formula_dispatch
 from .generate import canonical_graph6, connected_graphs_upto, graph6_decode
 from .graphs import Graph
 from .structure import census, edge_clique_cover_number, sandwich_census
@@ -32,7 +32,7 @@ ORACLE_SWEEP_BUDGET = 3
 class SweepOptions:
     only_k4free_diamond_scope: bool = False
     with_oracle: bool = False
-    solver_cap: int = 12
+    solver_cap: int = SOLVER_CAP_DEFAULT
 
 
 @dataclass
@@ -117,7 +117,8 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
     if formula_value is not None:
         checks["formula_agrees"] = formula_value == exact
 
-    clique_bound = lower_bound_clique_cover(graph, cap=options.solver_cap).value
+    theta = edge_clique_cover_number(graph, cap=options.solver_cap)
+    clique_bound = clique_cover_bound(graph.n, theta)
     checks["clique_cover_bound_holds"] = clique_bound <= exact
 
     bounds_lower = bounds_upper = bounds_exact = None
@@ -135,7 +136,6 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
         else:
             bounds_lower, bounds_upper = outcome.lower, outcome.upper
             checks["sandwich_holds"] = bounds_lower <= exact <= bounds_upper
-        theta = edge_clique_cover_number(graph, cap=options.solver_cap)
         checks["theta_identity"] = theta == graph.m - 2 * report.t + report.d
         caring, caring_optimal = construct_gminus_caring(graph)
         comp_count = len(report.g_minus_components)

@@ -178,6 +178,19 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
 
+    def test_empty_graph_sweep_clean(self, tmp_path, capsys):
+        stream = tmp_path / "empty.g6"
+        stream.write_text("?\n")
+        assert main(["sweep", "--max-n", "3", "--graph6", str(stream)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["clique_cover_bound"] == 0 and record["ok"]
+
+    def test_too_large_graph6_exit(self, tmp_path, capsys):
+        stream = tmp_path / "c13.g6"
+        stream.write_text("LhCGGC@?G?_@_@\n")
+        assert main(["sweep", "--max-n", "6", "--graph6", str(stream)]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_graph6_file_exit(self, tmp_path, capsys):
         missing = tmp_path / "no_such.g6"
         assert main(["sweep", "--max-n", "3", "--graph6", str(missing)]) == 2

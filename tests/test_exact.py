@@ -5,6 +5,7 @@ import pytest
 from phylokit.derived import check_nontriangle_edge_arcs, validate_phylogeny_digraph
 from phylokit.errors import Infeasible, TooLarge
 from phylokit.exact import (
+    _HeadSearch,
     competition_number_exact,
     oracle_phylogeny_number,
     phylogeny_number_exact,
@@ -114,9 +115,8 @@ class TestCompetitionNumber:
         for g in connected_graphs_upto(5):
             if census(g).t or g.m == 0:
                 continue
-            fast = competition_number_exact(g)
-            searched = competition_number_exact(g, use_fast_path=False)
-            assert fast == searched == g.m - g.n + 2
+            searched = _HeadSearch(g, head_joins=False).deepen(0)
+            assert competition_number_exact(g) == searched == g.m - g.n + 2
 
     def test_ladder(self):
         assert competition_number_exact(grid_2xk(3)) == 3

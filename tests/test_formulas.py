@@ -150,6 +150,8 @@ class TestCliqueCoverBound:
 
     def test_complete_clamps_to_zero(self):
         assert lower_bound_clique_cover(complete_graph(4)).value == 0
+        # theta_e - n + 1 needs a vertex: the empty graph has p = 0
+        assert lower_bound_clique_cover(Graph(0)).value == 0
 
     def test_hub_graph(self):
         assert lower_bound_clique_cover(figure_catalog("fig3_G1"), cap=15).value == 4
