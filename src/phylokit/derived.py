@@ -215,6 +215,21 @@ class Assembly:
                     members |= 1 << to_base[a]
             self.new_extra(members)
 
+    def relabelled(self, order: Sequence[int]) -> "Assembly":
+        """A copy with base vertex ``i`` renamed ``order[i]``; extras keep their numbers."""
+
+        def rename(mask: int) -> int:
+            out = 0
+            for a in bits(mask):
+                out |= 1 << order[a]
+            return out
+
+        copy = Assembly(self.n)
+        for i, members in enumerate(self.in_set):
+            copy.in_set[order[i]] = rename(members)
+        copy.extras = [rename(members) for members in self.extras]
+        return copy
+
     def to_digraph(self) -> Digraph:
         n = self.n
         arcs = [(a, w) for w in range(n) for a in bits(self.in_set[w])]

@@ -7,17 +7,24 @@ one clique.  An edge is realized iff it lies inside some M(w) + w or
 inside an extra's clique, and the member->head relation on base vertices
 must be acyclic.  The solver searches those assignments directly,
 deepening on the number of extras, so the first success is minimal.
+
+Both exact solvers search the canonical relabelling of their input
+(:func:`generate.canonical_labeling`), so the branch order refers to
+canonical ids and isomorphic inputs run the identical search.  A
+canonically labelled input, such as every generator graph, is searched
+as given.
 """
 
 from __future__ import annotations
 
 import time
 
-from .derived import Assembly, PhyloCertificate
+from .derived import Assembly
 from .errors import CrossCheckFailed, Infeasible, TooLarge
+from .generate import canonical_labeling
 from .graphs import Graph, bits, connected_components
 from .results import PhyloResult
-from .structure import EdgeCliqueTable, edge_clique_cover_number, triangle_edges
+from .structure import EdgeCliqueTable, triangle_edges
 
 __all__ = [
     "SOLVER_CAP_DEFAULT",
@@ -34,7 +41,8 @@ ORACLE_EXTRA_CAP = 3
 class _HeadSearch:
     """Depth-first feasibility search over head assignments for a fixed budget.
 
-    Branches on the lexicographically smallest uncovered edge uv: every
+    Branches on the lexicographically smallest uncovered edge uv of the
+    graph it is given (the solvers give it a canonical one): every
     candidate head h of uv (ascending id), extending h's in-set by the
     endpoints other than h, then a fresh extra per maximal clique
     containing uv, in the order of the graph's :class:`EdgeCliqueTable`.
@@ -52,22 +60,28 @@ class _HeadSearch:
     def __init__(self, graph: Graph, head_joins: bool):
         self.graph = graph
         self.n = graph.n
-        table = EdgeCliqueTable(graph)
+        self.table = table = EdgeCliqueTable(graph)
         self.all_covered = table.full
         self.pairs_mask = table.pairs_mask
         self.cliques_on = table.cliques_on
-        # per edge: (head, head bit, tails to add, head bit if it joins the clique)
-        self.head_moves: list[list[tuple[int, int, int, int]]] = []
+        adj = graph.adj
+        # per edge: (head, head bit, tails to add, head bit if it joins the
+        # clique, the tails together with every vertex adjacent to all of them)
+        self.head_moves: list[list[tuple[int, int, int, int, int]]] = []
         for u, v in table.edges:
             euv = (1 << u) | (1 << v)
             if head_joins:
-                heads = euv | (graph.adj[u] & graph.adj[v])
+                heads = euv | (adj[u] & adj[v])
             else:
                 heads = graph.vertex_mask() & ~euv
-            self.head_moves.append([
-                (h, 1 << h, euv & ~(1 << h), (1 << h) if head_joins else 0)
-                for h in bits(heads)
-            ])
+            moves = []
+            for h in bits(heads):
+                add = euv & ~(1 << h)
+                common = graph.vertex_mask()
+                for a in bits(add):
+                    common &= adj[a]
+                moves.append((h, 1 << h, add, (1 << h) if head_joins else 0, add | common))
+            self.head_moves.append(moves)
 
     def reaches(self, start: int, targets: int) -> bool:
         """True iff some target vertex is reachable from start along arcs."""
@@ -120,16 +134,18 @@ class _HeadSearch:
         ei = (remaining & -remaining).bit_length() - 1
         in_mask = self.in_mask
         out_mask = self.out_mask
-        for h, hb, add, own in self.head_moves[ei]:
+        for h, hb, add, own, fits in self.head_moves[ei]:
             saved = in_mask[h]
             new_tails = add & ~saved
             if new_tails == 0:
                 continue
-            closed = saved | add | own
-            if not self.graph.is_clique(closed):
+            # saved | own is a clique already and add is one vertex or one
+            # edge, so the union is a clique iff saved | own lies in fits
+            if (saved | own) & ~fits:
                 continue
             if self.reaches(h, new_tails):
                 continue
+            closed = saved | add | own
             in_mask[h] = saved | add
             for a in bits(new_tails):
                 out_mask[a] |= hb
@@ -146,8 +162,21 @@ class _HeadSearch:
                 self.extras.pop()
         return False
 
-    def certificate(self) -> PhyloCertificate:
-        return self.assembly.certificate(self.graph)
+
+def _canonical_form(graph: Graph) -> tuple[Graph, tuple[int, ...] | None]:
+    """The graph the solvers search, and the order that maps it back.
+
+    That is the canonical relabelling of ``graph``, whose vertex ``i`` is
+    ``order[i]`` of ``graph``, or ``graph`` itself and ``None`` when its
+    canonical order is the identity.
+    """
+    order = canonical_labeling(graph)
+    if order == tuple(range(graph.n)):
+        return graph, None
+    position = [0] * graph.n
+    for new, old in enumerate(order):
+        position[old] = new
+    return Graph(graph.n, [(position[u], position[v]) for u, v in graph.edges]), order
 
 
 def phylogeny_number_exact(
@@ -161,15 +190,19 @@ def phylogeny_number_exact(
 
     Iterative deepening on the extra count starting from zero guarantees
     minimality without any bound formula; the returned witness is the
-    first optimal assignment in the documented branch order, so repeated
-    runs give identical output.  ``max_extras`` and ``deadline`` (a
-    ``time.monotonic`` instant) abort loudly instead of truncating.
+    first optimal assignment in the documented branch order on the
+    canonical relabelling, mapped back to the input's ids and validated
+    against the input, so repeated runs give identical output.
+    ``max_extras`` and ``deadline`` (a ``time.monotonic`` instant) abort
+    loudly instead of truncating.
     """
     if graph.n > cap:
         raise TooLarge(f"exact solver capped at {cap} vertices (got {graph.n})")
-    search = _HeadSearch(graph, head_joins=True)
+    searched, order = _canonical_form(graph)
+    search = _HeadSearch(searched, head_joins=True)
     value = search.deepen(0, max_extras, deadline)
-    witness = search.certificate()
+    assembly = search.assembly if order is None else search.assembly.relabelled(order)
+    witness = assembly.certificate(graph)
     if witness.extra_count != value:
         raise CrossCheckFailed(f"solver found {value} extras, witness has {witness.extra_count}")
     return PhyloResult(
@@ -330,9 +363,10 @@ def competition_number_exact(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> int
     """Fewest isolated vertices to add so the result is a competition graph.
 
     Connected triangle-free graphs take the classical closed form
-    ``m - n + 2``; everything else runs the head-assignment search,
-    deepening from the clique-cover bound ``theta_e - n + 2`` (and from 1
-    for any connected graph on two or more vertices).
+    ``m - n + 2``; everything else runs the head-assignment search on the
+    canonical relabelling, deepening from the clique-cover bound
+    ``theta_e - n + 2`` (and from 1 for any connected graph on two or
+    more vertices), with theta_e read off the search's own clique table.
     """
     if graph.n > cap:
         raise TooLarge(f"competition solver capped at {cap} vertices (got {graph.n})")
@@ -341,7 +375,8 @@ def competition_number_exact(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> int
     connected = len(connected_components(graph)) == 1
     if connected and not triangle_edges(graph):
         return graph.m - graph.n + 2
-    start = max(0, edge_clique_cover_number(graph, cap=cap) - graph.n + 2)
+    search = _HeadSearch(_canonical_form(graph)[0], head_joins=False)
+    start = max(0, search.table.cover_number() - graph.n + 2)
     if connected and graph.n >= 2:
         start = max(start, 1)
-    return _HeadSearch(graph, head_joins=False).deepen(start)
+    return search.deepen(start)

@@ -7,6 +7,7 @@ standard tooling without depending on it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import ParseError, TooLarge
@@ -116,12 +117,15 @@ def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     return (adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u))
 
 
+@lru_cache(maxsize=1)
 def canonical_labeling(graph: Graph) -> tuple[int, ...]:
     """A vertex order whose relabelled adjacency code is minimal.
 
     Returns ``order`` with ``order[i]`` = original vertex placed at i.
     Deterministic, so equal codes mean isomorphic graphs and vice versa
-    within the generator's size range.
+    within the generator's size range.  Memoised for the last graph
+    only, like ``structure.census``: the sweep names a graph and then
+    solves it, and both ask for its labelling.
     """
     n = graph.n
     if n == 0:

@@ -243,34 +243,40 @@ class EdgeCliqueTable:
                 chosen.append(ends)
         return len(chosen)
 
+    def cover_number(self) -> int:
+        """The edge clique cover number of the graph, by branch and bound.
+
+        Branches on the smallest uncovered edge over the maximal cliques
+        on it, bounding below with :meth:`incompatible_count`.
+        """
+        best = len(self.edges)  # one clique per edge always works
+
+        def search(uncovered: int, used: int) -> None:
+            nonlocal best
+            if uncovered == 0:
+                best = min(best, used)
+                return
+            if used + self.incompatible_count(uncovered) >= best:
+                return
+            first = (uncovered & -uncovered).bit_length() - 1
+            for _, edge_mask in self.cliques_on[first]:
+                search(uncovered & ~edge_mask, used + 1)
+
+        search(self.full, 0)
+        return best
+
 
 def edge_clique_cover_number(graph: Graph, cap: int = THETA_CAP_DEFAULT) -> int:
     """Exact minimum number of cliques covering every edge.
 
-    Branch and bound: branch on the lexicographically smallest uncovered
-    edge over the maximal cliques containing it, bounding below with a
-    greedy set of pairwise clique-incompatible edges.
+    The branch and bound of :meth:`EdgeCliqueTable.cover_number` on the
+    graph's clique table.
     """
     if graph.n > cap:
         raise TooLarge(f"edge clique cover solver capped at {cap} vertices (got {graph.n})")
     if graph.m == 0:
         return 0
-    table = EdgeCliqueTable(graph)
-    best = graph.m  # one clique per edge always works
-
-    def search(uncovered: int, used: int) -> None:
-        nonlocal best
-        if uncovered == 0:
-            best = min(best, used)
-            return
-        if used + table.incompatible_count(uncovered) >= best:
-            return
-        first = (uncovered & -uncovered).bit_length() - 1
-        for _, edge_mask in table.cliques_on[first]:
-            search(uncovered & ~edge_mask, used + 1)
-
-    search(table.full, 0)
-    return best
+    return EdgeCliqueTable(graph).cover_number()
 
 
 def _automorphism_exists(graph: Graph, image_of_zero: int) -> bool:

@@ -95,6 +95,7 @@ def in_k4free_diamond_scope(graph: Graph) -> bool:
 
 def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepRecord:
     started = time.perf_counter()
+    graph_id = canonical_graph6(graph)  # first, so the solver reuses the labelling
     report = census(graph)
     checks: dict[str, bool] = {}
 
@@ -164,7 +165,7 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
             checks["oracle_agrees"] = exact > ORACLE_SWEEP_BUDGET
 
     return SweepRecord(
-        graph_id=canonical_graph6(graph),
+        graph_id=graph_id,
         n=graph.n,
         m=graph.m,
         t=report.t,

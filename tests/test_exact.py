@@ -1,5 +1,7 @@
 """Exact solvers against the brute-force oracle and known values."""
 
+import random
+
 import pytest
 
 from phylokit.derived import check_nontriangle_edge_arcs, validate_phylogeny_digraph
@@ -12,6 +14,7 @@ from phylokit.exact import (
 )
 from phylokit.generate import connected_graphs_upto
 from phylokit.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -127,3 +130,21 @@ class TestCompetitionNumber:
     def test_cap(self):
         with pytest.raises(TooLarge):
             competition_number_exact(cycle_graph(14))
+
+
+class TestLabelIndependence:
+    """Both solvers search the canonical relabelling of their input."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relabelled_inputs_keep_values_and_witnesses_validate(self, seed):
+        rng = random.Random(seed)
+        for g in connected_graphs_upto(6):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            res = phylogeny_number_exact(h)
+            assert res.value == phylogeny_number_exact(g, want_witness=False).value
+            cert = res.witness
+            assert cert.extra_count == res.value
+            validate_phylogeny_digraph(cert.digraph, cert.base, h)
+            assert competition_number_exact(h) == competition_number_exact(g)
