@@ -51,9 +51,9 @@ print("restricting a certificate to a well-separated subgraph:")
 g = figure_catalog("fig1_G")
 d, base = figure_catalog("fig1_D")
 square = Subgraph.from_edges([(0, 1), (0, 2), (1, 3), (2, 3)])
-result = restriction_digraph(d, base, g, square)
-print("  restricted arcs:", result.digraph.sorted_arcs())
-print(f"  the restriction certifies the square with {result.certificate.extra_count} extra")
+restricted = restriction_digraph(d, base, g, square)
+print("  restricted arcs:", restricted.digraph.sorted_arcs())
+print(f"  the restriction certifies the square with {restricted.extra_count} extra")
 print("  so p(whole graph) >= p(square) = 1, matching the exact value 1")
-validate_phylogeny_digraph(result.digraph, result.certificate.base,
-                           square.to_graph()[0], order=result.certificate.base)
+validate_phylogeny_digraph(restricted.digraph, restricted.base,
+                           square.to_graph()[0], order=restricted.base)

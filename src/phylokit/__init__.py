@@ -41,9 +41,7 @@ from .formulas import (
 from .graphs import (
     Digraph,
     Graph,
-    VertexOrder,
     acyclic_labeling,
-    arcs_between,
     connected_components,
     cut_vertices_and_blocks,
     is_acyclic,
@@ -78,7 +76,6 @@ __all__ = [
     "PhylokitError",
     "Graph",
     "Digraph",
-    "VertexOrder",
     "PhyloCertificate",
     "PhyloResult",
     "StructureReport",
@@ -90,7 +87,6 @@ __all__ = [
     "acyclic_labeling",
     "connected_components",
     "cut_vertices_and_blocks",
-    "arcs_between",
     "underlying_graph",
     "competition_graph",
     "phylogeny_graph",

@@ -196,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_family(args: argparse.Namespace) -> int:
     try:
         graph, p_result, k = difference_family(args.l, verify_k=args.verify_k)
-    except CapExceeded as exc:
+    except (CapExceeded, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     payload = {

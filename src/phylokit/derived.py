@@ -24,7 +24,6 @@ __all__ = [
     "PhyloCertificate",
     "validate_phylogeny_digraph",
     "cared_edges",
-    "drop_extra_out_arcs",
     "check_nontriangle_edge_arcs",
     "graph_to_dot",
     "digraph_to_dot",
@@ -164,18 +163,6 @@ def cared_edges(digraph: Digraph, base: Iterable[int]) -> dict[Edge, frozenset[i
     return {e: frozenset(carers) for e, carers in sorted(out.items())}
 
 
-def drop_extra_out_arcs(certificate: PhyloCertificate) -> Digraph:
-    """Delete every arc whose tail is an extra vertex.
-
-    An optimal phylogeny digraph can always be normalized this way: arcs
-    leaving an extra vertex contribute nothing that the base needs, so
-    the result certifies the same target with the same extra count.
-    """
-    extra = set(certificate.extras)
-    kept = [a for a in certificate.digraph.arcs if a[0] not in extra]
-    return Digraph(certificate.digraph.n, kept)
-
-
 class Assembly:
     """A sink-normalised phylogeny digraph under construction.
 
@@ -199,9 +186,9 @@ class Assembly:
         """Copy ``cert`` in, its target vertex ``i`` becoming base ``order[i]``.
 
         Its extras are appended in ascending digraph id.  Arcs leaving an
-        extra are dropped, as in :func:`drop_extra_out_arcs`: they realise
-        no base edge.  No arc enters the base from outside a valid
-        certificate, so every base in-neighbour maps.
+        extra are dropped: they realise no base edge.  No arc enters the
+        base from outside a valid certificate, so every base in-neighbour
+        maps.
         """
         inn = cert.digraph.inn
         to_base = {d: order[i] for i, d in enumerate(cert.base)}

@@ -24,7 +24,7 @@ from .errors import CrossCheckFailed, Infeasible, TooLarge
 from .generate import canonical_labeling
 from .graphs import Graph, bits, connected_components
 from .results import PhyloResult
-from .structure import EdgeCliqueTable, triangle_edges
+from .structure import edge_clique_table, triangle_edges
 
 __all__ = [
     "SOLVER_CAP_DEFAULT",
@@ -60,7 +60,7 @@ class _HeadSearch:
     def __init__(self, graph: Graph, head_joins: bool):
         self.graph = graph
         self.n = graph.n
-        self.table = table = EdgeCliqueTable(graph)
+        self.table = table = edge_clique_table(graph)
         self.all_covered = table.full
         self.pairs_mask = table.pairs_mask
         self.cliques_on = table.cliques_on

@@ -21,7 +21,6 @@ __all__ = [
     "canonical_graph6",
     "connected_graphs",
     "connected_graphs_upto",
-    "all_digraph_arc_sets",
 ]
 
 GENERATOR_CAP = 8
@@ -203,10 +202,3 @@ def connected_graphs(n: int) -> list[Graph]:
 def connected_graphs_upto(n_max: int) -> Iterator[Graph]:
     for n in range(1, n_max + 1):
         yield from connected_graphs(n)
-
-
-def all_digraph_arc_sets(n: int) -> Iterator[list[tuple[int, int]]]:
-    """Every simple digraph arc set on n vertices (exhaustive test helper)."""
-    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
-    for mask in range(1 << len(pairs)):
-        yield [pairs[i] for i in bits(mask)]

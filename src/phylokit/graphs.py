@@ -8,7 +8,6 @@ construction; every "mutation" builds a new value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CyclicDigraph, ParseError, UnknownVertex
@@ -16,13 +15,11 @@ from .errors import CyclicDigraph, ParseError, UnknownVertex
 __all__ = [
     "Graph",
     "Digraph",
-    "VertexOrder",
     "bits",
     "is_acyclic",
     "acyclic_labeling",
     "connected_components",
     "cut_vertices_and_blocks",
-    "arcs_between",
     "parse_graph",
     "parse_digraph",
     "format_graph",
@@ -191,12 +188,6 @@ class Digraph:
     def has_arc(self, t: int, h: int) -> bool:
         return (t, h) in self.arcs
 
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.out[v]))
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(bits(self.inn[v]))
-
     def sorted_arcs(self) -> list[Arc]:
         return sorted(self.arcs)
 
@@ -214,23 +205,6 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.m})"
 
 
-@dataclass(frozen=True)
-class VertexOrder:
-    """A bijection from vertices to ``1..n``.
-
-    When produced by :func:`acyclic_labeling` it satisfies
-    ``value_of(tail) > value_of(head)`` for every arc.
-    """
-
-    values: tuple[int, ...]
-
-    def value_of(self, v: int) -> int:
-        return self.values[v]
-
-    def respects(self, digraph: Digraph) -> bool:
-        return all(self.values[t] > self.values[h] for t, h in digraph.arcs)
-
-
 def is_acyclic(digraph: Digraph) -> bool:
     """True iff the digraph has no directed cycle."""
     indeg = [digraph.inn[v].bit_count() for v in range(digraph.n)]
@@ -246,9 +220,10 @@ def is_acyclic(digraph: Digraph) -> bool:
     return seen == digraph.n
 
 
-def acyclic_labeling(digraph: Digraph) -> VertexOrder:
+def acyclic_labeling(digraph: Digraph) -> tuple[int, ...]:
     """A labeling with every arc's tail numbered above its head.
 
+    Entry ``v`` of the returned tuple is the value of vertex ``v``.
     Values ``1..n`` are assigned in increasing order, each time to the
     smallest-id vertex all of whose out-neighbors are already numbered.
     That tie-break makes the result unique, hence reproducible.
@@ -267,7 +242,7 @@ def acyclic_labeling(digraph: Digraph) -> VertexOrder:
         gone = 1 << v
         for u in unnumbered:
             remaining_out[u] &= ~gone
-    return VertexOrder(tuple(values))
+    return tuple(values)
 
 
 def connected_components(graph: Graph) -> list[list[int]]:
@@ -350,16 +325,6 @@ def cut_vertices_and_blocks(graph: Graph) -> tuple[set[int], list[frozenset[Edge
                 del edge_stack[idx:]
     blocks.sort(key=lambda b: min(b))
     return cut, blocks
-
-
-def arcs_between(digraph: Digraph, tails: Iterable[int], heads: Iterable[int]) -> set[Arc]:
-    """Arcs with tail in ``tails`` and head in ``heads``."""
-    tail_set = set(tails)
-    head_set = set(heads)
-    for v in tail_set | head_set:
-        if not 0 <= v < digraph.n:
-            raise UnknownVertex(f"vertex {v} not in 0..{digraph.n - 1}")
-    return {(t, h) for (t, h) in digraph.arcs if t in tail_set and h in head_set}
 
 
 # ---------------------------------------------------------------------------

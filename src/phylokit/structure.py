@@ -24,6 +24,7 @@ __all__ = [
     "triangle_edges",
     "maximal_cliques",
     "EdgeCliqueTable",
+    "edge_clique_table",
     "edge_clique_cover_number",
     "is_vertex_transitive",
     "pendant_vertices",
@@ -266,6 +267,16 @@ class EdgeCliqueTable:
         return best
 
 
+@lru_cache(maxsize=1)
+def edge_clique_table(graph: Graph) -> EdgeCliqueTable:
+    """The graph's :class:`EdgeCliqueTable`, memoised for the last graph.
+
+    The sweep tables each graph for the phylogeny search and then for
+    theta_e; one memo serves both, as :func:`census` does.
+    """
+    return EdgeCliqueTable(graph)
+
+
 def edge_clique_cover_number(graph: Graph, cap: int = THETA_CAP_DEFAULT) -> int:
     """Exact minimum number of cliques covering every edge.
 
@@ -276,7 +287,7 @@ def edge_clique_cover_number(graph: Graph, cap: int = THETA_CAP_DEFAULT) -> int:
         raise TooLarge(f"edge clique cover solver capped at {cap} vertices (got {graph.n})")
     if graph.m == 0:
         return 0
-    return EdgeCliqueTable(graph).cover_number()
+    return edge_clique_table(graph).cover_number()
 
 
 def _automorphism_exists(graph: Graph, image_of_zero: int) -> bool:
@@ -320,13 +331,15 @@ def _automorphism_exists(graph: Graph, image_of_zero: int) -> bool:
 def is_vertex_transitive(graph: Graph) -> bool:
     """Whether the automorphism group acts transitively on the vertices.
 
-    Brute force over degree-compatible vertex maps; capped because this
-    is only ever applied to small decomposition parts.
+    Complete and edgeless graphs are answered outright: every vertex
+    permutation is an automorphism.  Otherwise brute force over
+    degree-compatible vertex maps; capped because this is only ever
+    applied to small decomposition parts.
     """
+    if graph.m in (0, graph.n * (graph.n - 1) // 2):
+        return True
     if graph.n > TRANSITIVITY_CAP:
         raise TooLarge(f"vertex transitivity check capped at {TRANSITIVITY_CAP} vertices (got {graph.n})")
-    if graph.n <= 1:
-        return True
     degs = {graph.degree(v) for v in range(graph.n)}
     if len(degs) > 1:
         return False

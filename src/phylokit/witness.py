@@ -40,7 +40,6 @@ __all__ = [
     "construct_k4free_upper",
     "replay_trace",
     "restriction_digraph",
-    "RestrictionResult",
     "check_subgraph_clique_conditions",
     "figure_catalog",
     "FIGURE_NAMES",
@@ -87,10 +86,6 @@ class Subgraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return tuple(sorted((u, v))) in self.edges
-
-    @classmethod
-    def whole(cls, host: Graph) -> "Subgraph":
-        return cls(frozenset(range(host.n)), frozenset(host.edges))
 
 
 def _maximal_cliques_of_subgraph(sub: Subgraph) -> list[tuple[int, ...]]:
@@ -406,7 +401,7 @@ def _repair_triangle(asm: Assembly, steps: list[dict], u: int, v: int, w: int) -
     # both uw and vw are realized by arcs; direct the new arc at the
     # lowest-labelled endpoint of the deleted edge
     labeling = acyclic_labeling(asm.to_digraph())
-    lu, lv, lw = labeling.value_of(u), labeling.value_of(v), labeling.value_of(w)
+    lu, lv, lw = labeling[u], labeling[v], labeling[w]
     _check(lw > min(lu, lv), "the apex cannot carry the least label")
     p, q = (u, v) if lu < lv else (v, u)
     _check_sole_arc(asm, w, p)
@@ -524,30 +519,12 @@ def replay_trace(graph: Graph, steps: Iterable[dict]) -> Digraph:
 # Restriction of a certificate to a well-separated subgraph.
 
 
-@dataclass(frozen=True)
-class RestrictionResult:
-    """Restricted digraph, relabelled densely.
-
-    ``certificate`` certifies the subgraph (relabelled by ``h_vertices``:
-    its i-th entry is the host id playing subgraph vertex i) and
-    ``mapping`` sends each new digraph id back to the original one.
-    """
-
-    certificate: PhyloCertificate
-    h_vertices: tuple[int, ...]
-    mapping: tuple[int, ...]
-
-    @property
-    def digraph(self) -> Digraph:
-        return self.certificate.digraph
-
-
 def restriction_digraph(
     digraph: Digraph,
     base: Iterable[int],
     target: Graph,
     sub: Subgraph,
-) -> RestrictionResult:
+) -> PhyloCertificate:
     """Restrict a valid certificate for the target to a subgraph of it.
 
     The subgraph must satisfy the two clique conditions checked by
@@ -558,6 +535,9 @@ def restriction_digraph(
     guaranteed to induce the subgraph in its phylogeny graph; the result
     is validated, so any failure of that postcondition raises
     :class:`NotInduced`.
+
+    Returns the certificate of the restricted digraph, relabelled
+    densely, for the subgraph as :meth:`Subgraph.to_graph` numbers it.
     """
     cert = validate_phylogeny_digraph(digraph, base, target)
     check_subgraph_clique_conditions(target, sub)
@@ -593,10 +573,8 @@ def restriction_digraph(
             arcs.append((new_id[tail], new_id[xv]))
     restricted = Digraph(len(keep), arcs)
 
-    sub_graph, order = sub.to_graph()
     new_base = tuple(new_id[d] for d in h_dids)
-    sub_cert = validate_phylogeny_digraph(restricted, new_base, sub_graph, order=new_base)
-    return RestrictionResult(sub_cert, tuple(order), tuple(keep))
+    return validate_phylogeny_digraph(restricted, new_base, sub.to_graph()[0], order=new_base)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import random
 
 from phylokit.derived import phylogeny_graph
-from phylokit.graphs import Digraph, Graph
+from phylokit.graphs import Digraph, Graph, bits
 
 
 def random_certificate(rng: random.Random, max_base: int = 7, max_extra: int = 3):
@@ -30,3 +30,10 @@ def random_certificate(rng: random.Random, max_base: int = 7, max_extra: int = 3
     phylo = phylogeny_graph(digraph)
     target = Graph(n_base, [e for e in phylo.edges if e[1] < n_base])
     return digraph, target
+
+
+def all_digraph_arc_sets(n: int):
+    """Every simple digraph arc set on n vertices."""
+    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+    for mask in range(1 << len(pairs)):
+        yield [pairs[i] for i in bits(mask)]

@@ -233,7 +233,7 @@ def test_criterion_7_restriction_property():
         attempts += 1
         assert attempts < 60000, "triple generator stalled"
         digraph, target = random_certificate(rng)
-        candidates = [Subgraph.whole(target)]
+        candidates = [Subgraph(frozenset(range(target.n)), target.edges)]
         cliques = maximal_cliques(target)
         if cliques:
             pick = rng.choice(cliques)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from phylokit.cli import main
+from phylokit.formulas import FAMILY_CAP
 from phylokit.graphs import format_graph, cycle_graph, parse_digraph, parse_graph
 from phylokit.witness import figure_catalog
 
@@ -242,8 +243,17 @@ class TestFamilyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["identity"] == 0 and payload["k_verified_exactly"]
 
+    def test_every_l_up_to_the_cap(self, capsys):
+        for l in range(FAMILY_CAP + 1):
+            assert main(["family", "--l", str(l)]) == 0
+            assert json.loads(capsys.readouterr().out)["identity_ok"]
+
     def test_cap(self, capsys):
         assert main(["family", "--l", "99"]) == 3
+
+    def test_verify_k_past_the_solver_cap_exit(self, capsys):
+        assert main(["family", "--l", "4", "--verify-k"]) == 3
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_out_below_regular_file_exit(self, tmp_path, capsys):
         blocker = tmp_path / "file"

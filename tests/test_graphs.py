@@ -4,13 +4,12 @@ import random
 
 import pytest
 
+from conftest import all_digraph_arc_sets
 from phylokit.errors import CyclicDigraph, ParseError, UnknownVertex
-from phylokit.generate import all_digraph_arc_sets
 from phylokit.graphs import (
     Digraph,
     Graph,
     acyclic_labeling,
-    arcs_between,
     complete_graph,
     connected_components,
     cut_vertices_and_blocks,
@@ -75,8 +74,7 @@ class TestDigraphType:
     def test_arcs_directed(self):
         d = Digraph(3, [(0, 1), (1, 0)])
         assert d.m == 2
-        assert d.out_neighbors(0) == (1,)
-        assert d.in_neighbors(0) == (1,)
+        assert d.out[0] == d.inn[0] == 1 << 1
 
     def test_rejects_duplicate_arc(self):
         with pytest.raises(ValueError):
@@ -96,12 +94,10 @@ class TestAcyclicity:
         assert is_acyclic(d)
 
     def test_labeling_single_arc(self):
-        order = acyclic_labeling(Digraph(2, [(0, 1)]))
-        assert order.value_of(0) == 2 and order.value_of(1) == 1
+        assert acyclic_labeling(Digraph(2, [(0, 1)])) == (2, 1)
 
     def test_labeling_tie_break(self):
-        order = acyclic_labeling(Digraph(2))
-        assert order.values == (1, 2)
+        assert acyclic_labeling(Digraph(2)) == (1, 2)
 
     def test_labeling_cycle_raises(self):
         with pytest.raises(CyclicDigraph):
@@ -112,8 +108,8 @@ class TestAcyclicity:
             d = Digraph(4, arcs)
             acyclic = is_acyclic(d)
             try:
-                order = acyclic_labeling(d)
-                assert acyclic and order.respects(d)
+                values = acyclic_labeling(d)
+                assert acyclic and all(values[t] > values[h] for t, h in d.arcs)
             except CyclicDigraph:
                 assert not acyclic
 
@@ -125,8 +121,8 @@ class TestAcyclicity:
             d = Digraph(5, arcs)
             acyclic = is_acyclic(d)
             try:
-                order = acyclic_labeling(d)
-                assert acyclic and order.respects(d)
+                values = acyclic_labeling(d)
+                assert acyclic and all(values[t] > values[h] for t, h in d.arcs)
             except CyclicDigraph:
                 assert not acyclic
 
@@ -185,24 +181,6 @@ class TestBlocks:
                 for v in {x for e in b for x in e}:
                     membership[v] += 1
             assert {v for v, c in membership.items() if c >= 2} == cut
-
-
-class TestArcSelector:
-    def test_basic(self):
-        d = Digraph(3, [(0, 1), (1, 2)])
-        assert arcs_between(d, {0}, {1}) == {(0, 1)}
-
-    def test_disjoint_sets_without_crossing(self):
-        d = Digraph(4, [(0, 1), (2, 3)])
-        assert arcs_between(d, {0, 1}, {2, 3}) == set()
-
-    def test_full_selector(self):
-        d = Digraph(3, [(0, 1), (1, 2)])
-        assert arcs_between(d, range(3), range(3)) == set(d.arcs)
-
-    def test_unknown_vertex(self):
-        with pytest.raises(UnknownVertex):
-            arcs_between(Digraph(2), {5}, {0})
 
 
 class TestEdgeListFormat:

@@ -172,7 +172,9 @@ class TestEdgeCliqueCover:
 
 class TestVertexTransitivity:
     def test_complete(self):
-        assert is_vertex_transitive(complete_graph(5))
+        for n in (5, 12):
+            assert is_vertex_transitive(complete_graph(n))
+            assert is_vertex_transitive(Graph(n))
 
     def test_cycle(self):
         assert is_vertex_transitive(cycle_graph(6))
