@@ -8,27 +8,22 @@ graphs), ``catalog`` (worked examples) and ``export-dot``.
 Exit codes: 0 success, 1 invalid certificate in ``verify`` or
 ``export-dot --kind certificate``, 2 unreadable or malformed input or an
 unwritable output path, 3 size cap exceeded without --force, 4 sweep
-found a disagreement.
+found a disagreement.  Commands raise; :func:`main` alone maps the
+exception to its exit code and a one-line stderr message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 from typing import Callable, TypeVar
 
 from .derived import certificate_to_dot, digraph_to_dot, graph_to_dot, validate_phylogeny_digraph
-from .errors import (
-    CapExceeded,
-    CertificateError,
-    ParseError,
-    PhylokitError,
-    TooLarge,
-    UnknownName,
-)
+from .errors import CertificateError, ParseError, PhylokitError, TooLarge
 from .exact import SOLVER_CAP_DEFAULT
 from .formulas import (
     bounds_k4free,
@@ -58,19 +53,7 @@ T = TypeVar("T")
 
 
 def _read(path: str, parse: Callable[[str], T]) -> T:
-    try:
-        return parse(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-
-
-def _write_text(path: str | Path, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+    return parse(Path(path).read_text())
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -80,17 +63,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.time_budget_ms is not None:
         deadline = time.monotonic() + args.time_budget_ms / 1000.0
     started = time.perf_counter()
-    try:
-        result = phylogeny_number_auto(
-            graph,
-            cap=cap,
-            want_witness=args.witness is not None,
-            max_extras=args.max_extras,
-            deadline=deadline,
-        )
-    except TooLarge as exc:
-        print(f"error: {exc} (pass --force to search anyway)", file=sys.stderr)
-        return EXIT_TOO_LARGE
+    result = phylogeny_number_auto(
+        graph,
+        cap=cap,
+        want_witness=args.witness is not None,
+        max_extras=args.max_extras,
+        deadline=deadline,
+    )
     payload = result.to_json()
     payload["graph"] = {"n": graph.n, "m": graph.m}
     payload["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
@@ -100,7 +79,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             witness.digraph,
             trailing=f"base 0..{graph.n - 1}",
         )
-        _write_text(args.witness, text)
+        Path(args.witness).write_text(text)
         payload["witness_file"] = args.witness
     print(json.dumps(payload))
     return EXIT_OK
@@ -115,11 +94,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INVALID_CERTIFICATE
-    try:
-        cert = validate_phylogeny_digraph(digraph, range(graph.n), graph)
-    except CertificateError as exc:
-        print(f"{exc.clause}: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CERTIFICATE
+    cert = validate_phylogeny_digraph(digraph, range(graph.n), graph)
     print(json.dumps({"valid": True, "extra_count": cert.extra_count}))
     return EXIT_OK
 
@@ -160,45 +135,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.graph6 == "-":
         lines = sys.stdin.read().splitlines()
     elif args.graph6 is not None:
-        try:
-            lines = Path(args.graph6).read_text().splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        lines = Path(args.graph6).read_text().splitlines()
     options = SweepOptions(
         only_k4free_diamond_scope=args.only_k4free_diamond_scope,
         with_oracle=args.with_oracle,
         solver_cap=max(args.max_n, SOLVER_CAP_DEFAULT),
     )
-    try:
-        graphs = list(sweep_graphs(args.max_n, lines))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        for record in run_sweep(graphs, options, threads=args.threads):
-            print(json.dumps(record.to_json()))
-            if not record.ok:
-                bad = [name for name, ok in record.checks.items() if not ok]
-                print(
-                    f"disagreement on {record.graph_id}: {', '.join(bad)}",
-                    file=sys.stderr,
-                )
-                print(f"graph6: {record.graph_id}", file=sys.stderr)
-                print(format_graph(graph6_decode(record.graph_id)), file=sys.stderr)
-                return EXIT_SWEEP_DISAGREEMENT
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
+    graphs = list(sweep_graphs(args.max_n, lines))
+    for record in run_sweep(graphs, options, threads=args.threads):
+        print(json.dumps(record.to_json()))
+        if not record.ok:
+            bad = [name for name, ok in record.checks.items() if not ok]
+            print(f"disagreement on {record.graph_id}: {', '.join(bad)}", file=sys.stderr)
+            print(f"graph6: {record.graph_id}", file=sys.stderr)
+            print(format_graph(graph6_decode(record.graph_id)), file=sys.stderr)
+            return EXIT_SWEEP_DISAGREEMENT
     return EXIT_OK
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    try:
-        graph, p_result, k = difference_family(args.l, verify_k=args.verify_k)
-    except (CapExceeded, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
+    graph, p_result, k = difference_family(args.l, verify_k=args.verify_k)
     payload = {
         "l": args.l,
         "n": graph.n,
@@ -212,24 +168,16 @@ def cmd_family(args: argparse.Namespace) -> int:
     }
     if args.out:
         out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"family_{args.l}.graph"
-        _write_text(path, format_graph(graph, comment=f"difference family member l={args.l}"))
+        path.write_text(format_graph(graph, comment=f"difference family member l={args.l}"))
         payload["file"] = str(path)
     print(json.dumps(payload))
     return EXIT_OK
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    try:
-        item = figure_catalog(args.name)
-    except UnknownName as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    item = figure_catalog(args.name)
     if isinstance(item, Graph):
         text = format_graph(item, comment=f"catalog {args.name}")
         extra = {"kind": "graph", "n": item.n, "m": item.m, "graph6": graph6_encode(item)}
@@ -242,7 +190,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         )
         extra = {"kind": "digraph", "n": digraph.n, "arcs": digraph.m}
     if args.out:
-        _write_text(args.out, text)
+        Path(args.out).write_text(text)
         print(json.dumps({**extra, "file": args.out}))
     else:
         sys.stdout.write(text)
@@ -262,13 +210,9 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_PARSE
-        try:
-            dot = certificate_to_dot(digraph, range(args.base_size))
-        except CertificateError as exc:
-            print(f"{exc.clause}: {exc}", file=sys.stderr)
-            return EXIT_INVALID_CERTIFICATE
+        dot = certificate_to_dot(digraph, range(args.base_size))
     if args.out:
-        _write_text(args.out, dot)
+        Path(args.out).write_text(dot)
     else:
         sys.stdout.write(dot)
     return EXIT_OK
@@ -339,8 +283,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place an exception becomes an exit code.
+
+    Argparse usage errors still exit 2 from inside ``parse_args``.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
+        return code
+    except CertificateError as exc:
+        print(f"{exc.clause}: {exc}", file=sys.stderr)
+        return EXIT_INVALID_CERTIFICATE
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # drop what stdout still buffers, or the exit-time flush fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
+    except TooLarge as exc:
+        hint = " (pass --force to search anyway)" if args.command == "compute" else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return EXIT_TOO_LARGE
 
 
 if __name__ == "__main__":

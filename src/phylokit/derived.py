@@ -57,9 +57,14 @@ def phylogeny_graph(digraph: Digraph) -> Graph:
     """
     if not is_acyclic(digraph):
         raise CyclicDigraph("phylogeny graph requires an acyclic digraph")
+    return Graph(digraph.n, _moral_edges(digraph))
+
+
+def _moral_edges(digraph: Digraph) -> set[Edge]:
+    """Underlying plus competition edges, with no acyclicity check."""
     edges = {tuple(sorted(a)) for a in digraph.arcs}
     edges.update(competition_graph(digraph).edges)
-    return Graph(digraph.n, edges)
+    return edges
 
 
 @dataclass(frozen=True)
@@ -128,11 +133,10 @@ def validate_phylogeny_digraph(
 
     _check_acyclic_and_base(digraph, base_sorted)
 
-    phylo = phylogeny_graph(digraph)
     to_target = {d: i for i, d in enumerate(order)}
     realized = {
         tuple(sorted((to_target[u], to_target[v])))
-        for u, v in phylo.edges
+        for u, v in _moral_edges(digraph)
         if u in to_target and v in to_target
     }
     if realized != target.edges:

@@ -22,11 +22,7 @@ class UnknownName(PhylokitError):
 
 
 class TooLarge(PhylokitError):
-    """Input exceeds the size cap of an exact (exponential-time) routine."""
-
-
-class CapExceeded(PhylokitError):
-    """A family or generation parameter exceeds its configured cap."""
+    """Input exceeds a size cap: an exact (exponential-time) routine's or the family's."""
 
 
 class Infeasible(PhylokitError):

@@ -16,11 +16,11 @@ from typing import Sequence
 
 from .derived import Assembly, PhyloCertificate
 from .errors import (
-    CapExceeded,
     ConditionViolated,
     CrossCheckFailed,
     HypothesisViolated,
     NotTriangleFree,
+    TooLarge,
 )
 from .exact import (
     SOLVER_CAP_DEFAULT,
@@ -84,10 +84,7 @@ def _two_disjoint_triangles_special(report: StructureReport) -> bool:
     """
     comps = report.g_minus_components
     t1, t2 = report.triangle_list
-    comp_id = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = i
+    comp_id = report._component_index
     for triangle in (t1, t2):
         if len({comp_id[v] for v in triangle}) == 1:
             return True
@@ -503,7 +500,7 @@ def difference_family(l: int, verify_k: bool = False) -> tuple[Graph, PhyloResul
     search, which requires the graph to fit the solver cap.
     """
     if not 0 <= l <= FAMILY_CAP:
-        raise CapExceeded(f"family parameter must lie in 0..{FAMILY_CAP}")
+        raise TooLarge(f"family parameter must lie in 0..{FAMILY_CAP}")
     if l == 0:
         graph = complete_graph(2)
         p_result = phylogeny_number_auto(graph)

@@ -95,11 +95,13 @@ def in_k4free_diamond_scope(graph: Graph) -> bool:
 
 def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepRecord:
     started = time.perf_counter()
-    graph_id = canonical_graph6(graph)  # first, so the solver reuses the labelling
     report = census(graph)
     checks: dict[str, bool] = {}
 
+    # the solver checks its cap before labelling the graph, and the id
+    # right after it reuses that labelling
     solved = phylogeny_number_exact(graph, cap=options.solver_cap)
+    graph_id = canonical_graph6(graph)
     exact = solved.value
     witness = solved.witness
     try:

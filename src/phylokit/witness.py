@@ -214,48 +214,29 @@ class ConstructionTrace:
     steps: tuple[dict, ...]
     certificate: PhyloCertificate
 
-    def to_json(self) -> list[dict]:
-        """Steps as {op, params, added_vertices, added_arcs} records."""
-        asm = Assembly(self.certificate.digraph.n - self.certificate.extra_count)
-        out = []
-        for step in self.steps:
-            added_vertices, added_arcs = _apply_step(asm, step)
-            out.append(
-                {
-                    "op": step["op"],
-                    "params": {k: v for k, v in step.items() if k != "op"},
-                    "added_vertices": added_vertices,
-                    "added_arcs": added_arcs,
-                }
-            )
-        return out
 
-
-def _apply_step(asm: Assembly, step: dict) -> tuple[list[int], list[list[int]]]:
-    """Apply one recorded step; return the digraph vertices and arcs it adds.
+def _apply_step(asm: Assembly, step: dict) -> None:
+    """Apply one recorded step to the assembly.
 
     The only code that changes the upper construction's assembly, so the
-    build, :func:`replay_trace` and :meth:`ConstructionTrace.to_json`
-    cannot drift apart.  Raises :class:`ValueError` on an unknown op or
-    an extra id out of creation order.
+    build and :func:`replay_trace` cannot drift apart.  Raises
+    :class:`ValueError` on an unknown op or an extra id out of creation
+    order.
     """
     op = step["op"]
-    n = asm.n
     if op in ("remove-diamond-center-edges", "remove-triangle-edge"):
-        return [], []
+        return
     if op == "add-arc":
         asm.in_set[step["head"]] |= 1 << step["tail"]
-        return [], [[step["tail"], step["head"]]]
+        return
     if op == "caring-vertex-absorbs":
         if not 0 <= step["extra"] < len(asm.extras):
             raise ValueError(f"trace step absorbs into unknown extra {step['extra']}")
         asm.extras[step["extra"]] |= 1 << step["vertex"]
-        return [], [[step["vertex"], n + step["extra"]]]
-    arcs: list[list[int]] = []
+        return
     if op == "solved-base":
         for t, h in step["in_arcs"]:
             asm.in_set[h] |= 1 << t
-        arcs = [list(a) for a in step["in_arcs"]]
         fresh = step["extras"]
     elif op == "new-extra":
         fresh = [(step["extra"], step["members"])]
@@ -268,8 +249,6 @@ def _apply_step(asm: Assembly, step: dict) -> tuple[list[int], list[list[int]]]:
         if extra != len(asm.extras):
             raise ValueError(f"trace step {op!r} creates extra {extra} out of order")
         asm.new_extra(sum(1 << v for v in members))
-        arcs.extend([s, n + extra] for s in members)
-    return [n + extra for extra, _ in fresh], arcs
 
 
 def _record(asm: Assembly, steps: list[dict], **step) -> None:

@@ -1,6 +1,7 @@
 """The command-line interface end to end."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from phylokit.cli import main
 from phylokit.formulas import FAMILY_CAP
+from phylokit.generate import GENERATOR_CAP
 from phylokit.graphs import format_graph, cycle_graph, parse_digraph, parse_graph
 from phylokit.witness import figure_catalog
 
@@ -66,23 +68,17 @@ class TestCompute:
     def test_parse_error_exit(self, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("2 9\n0 1\n")
-        with pytest.raises(SystemExit) as info:
-            main(["compute", str(path)])
-        assert info.value.code == 2
+        assert main(["compute", str(path)]) == 2
 
     def test_unwritable_witness_exit(self, tmp_path, capsys):
         path = write_catalog(tmp_path, "fig1_G")
-        with pytest.raises(SystemExit) as info:
-            main(["compute", str(path), "--witness", str(tmp_path / "no_such_dir" / "w")])
-        assert info.value.code == 2
+        assert main(["compute", str(path), "--witness", str(tmp_path / "no_such_dir" / "w")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_binary_input_exit(self, tmp_path):
         path = tmp_path / "binary.graph"
         path.write_bytes(b"\xff\xfe\x00")
-        with pytest.raises(SystemExit) as info:
-            main(["compute", str(path)])
-        assert info.value.code == 2
+        assert main(["compute", str(path)]) == 2
 
     def test_extras_cap_fails_loudly(self, tmp_path, capsys):
         # the octahedron defeats every closed form and needs one extra, so
@@ -186,7 +182,14 @@ class TestSweep:
         record = json.loads(capsys.readouterr().out)
         assert record["clique_cover_bound"] == 0 and record["ok"]
 
-    def test_too_large_graph6_exit(self, tmp_path, capsys):
+    def test_too_large_graph6_exit(self, tmp_path, capsys, monkeypatch):
+        # canonical labelling has no budget, so the solver's cap must fire first
+        import phylokit.sweep as sweep_module
+
+        def refuse(graph):
+            raise AssertionError("canonical_graph6 called before the size cap")
+
+        monkeypatch.setattr(sweep_module, "canonical_graph6", refuse)
         stream = tmp_path / "c13.g6"
         stream.write_text("LhCGGC@?G?_@_@\n")
         assert main(["sweep", "--max-n", "6", "--graph6", str(stream)]) == 3
@@ -311,6 +314,40 @@ class TestCatalogAndDot:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestExitPaths:
+    @pytest.mark.parametrize(
+        "argv, code, prefix",
+        [
+            (["compute", "{missing}"], 2, "error: "),
+            (["verify", "{missing}", "{digraph}"], 2, "error: "),
+            (["verify", "{graph}", "{missing}"], 2, "error: "),
+            (["bounds", "{missing}"], 2, "error: "),
+            (["census", "{missing}"], 2, "error: "),
+            (["export-dot", "{missing}"], 2, "error: "),
+            (["verify", "{graph}", "{small}"], 1, "NotInduced: "),
+            (["sweep", "--max-n", "6", "--graph6", "{bad_g6}"], 2, "error: invalid graph6"),
+            (["sweep", "--max-n", "9"], 2, f"error: the native generator is capped at --max-n {GENERATOR_CAP}\n"),
+            (["catalog", "fig2_G", "--out", "{unwritable}"], 2, "error: "),
+            (["export-dot", "{graph}", "{unwritable}"], 2, "error: "),
+        ],
+    )
+    def test_exit_code_and_stderr(self, tmp_path, capsys, argv, code, prefix):
+        paths = {
+            "missing": tmp_path / "no_such.graph",
+            "graph": write_catalog(tmp_path, "fig1_G"),
+            "digraph": write_catalog(tmp_path, "fig1_D"),
+            "small": tmp_path / "small.digraph",
+            "bad_g6": tmp_path / "bad.g6",
+            "unwritable": tmp_path / "no_such_dir" / "out",
+        }
+        paths["small"].write_text("3 0\n")
+        paths["bad_g6"].write_text("C~\nC!\n")
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(prefix) and captured.out == ""
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "c4.graph"
@@ -322,3 +359,21 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == 1
+
+    def test_closed_stdout_exits_two(self):
+        # buffered stdout, so the write fails at main's flush, not at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "phylokit.cli", "catalog", "fig2_G"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

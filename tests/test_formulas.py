@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from phylokit.errors import CapExceeded, ConditionViolated, HypothesisViolated, NotTriangleFree
+from phylokit.errors import ConditionViolated, HypothesisViolated, NotTriangleFree, TooLarge
 from phylokit.exact import phylogeny_number_exact
 from phylokit.formulas import (
     bounds_k4free,
@@ -392,7 +392,7 @@ class TestDifferenceFamily:
         assert p_result.value == 0 and k == 1
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(TooLarge):
             difference_family(100)
 
     def test_wrong_competition_number_caught_under_optimization(self):
