@@ -15,6 +15,7 @@ exception to its exit code and a one-line stderr message.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -128,6 +129,9 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.max_n < 1:
+        print("error: --max-n must be at least 1", file=sys.stderr)
+        return EXIT_PARSE
     if args.max_n > GENERATOR_CAP and args.graph6 is None:
         print(f"error: the native generator is capped at --max-n {GENERATOR_CAP}", file=sys.stderr)
         return EXIT_PARSE
@@ -289,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
+        if sys.stdout is None:  # Python's stdout when fd 1 was closed at startup
+            raise OSError(errno.EBADF, "standard output is closed")
         code = args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
         return code

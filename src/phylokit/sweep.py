@@ -19,7 +19,7 @@ from .exact import SOLVER_CAP_DEFAULT, oracle_phylogeny_number, phylogeny_number
 from .formulas import bounds_k4free, clique_cover_bound, formula_dispatch
 from .generate import canonical_graph6, connected_graphs_upto, graph6_decode
 from .graphs import Graph
-from .structure import census, edge_clique_cover_number, sandwich_census
+from .structure import census, edge_clique_cover_number
 from .witness import construct_gminus_caring, construct_k4free_upper
 
 __all__ = ["SweepRecord", "SweepOptions", "run_sweep", "sweep_graphs"]
@@ -126,12 +126,10 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
 
     bounds_lower = bounds_upper = bounds_exact = None
     try:
-        sandwich_census(graph)
-        in_scope = True
-    except HypothesisViolated:
-        in_scope = False
-    if in_scope:
         outcome = bounds_k4free(graph)
+    except HypothesisViolated:
+        outcome = None
+    if outcome is not None:
         if outcome.kind == "exact":
             bounds_exact = outcome.value
             bounds_lower = bounds_upper = outcome.value
@@ -149,7 +147,7 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
         if caring_optimal:
             ok = ok and caring.extra_count == exact
         checks["caring_construction"] = ok
-        trace = construct_k4free_upper(graph, solver_cap=options.solver_cap)
+        trace = construct_k4free_upper(graph)
         upper_budget = graph.m - graph.n - report.t + 1
         ok = trace.certificate.extra_count <= upper_budget
         if comp_count == 2 * report.t - report.d + 1:

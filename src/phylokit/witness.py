@@ -1,11 +1,11 @@
 """Explicit phylogeny-digraph constructions that certify the bounds.
 
-Everything here emits a digraph that *proves* an inequality: the
-spanning-tree construction for triangle-free graphs, the caring-vertex
-construction meeting the lower bound when the triangle-edge-deleted
-graph is connected, the inductive construction meeting the upper bound
-for K4-free graphs with edge-disjoint diamonds, and the restriction of
-an arbitrary certificate to a well-separated subgraph.
+Everything here emits a digraph that *proves* an inequality, without
+search: the spanning-tree construction for triangle-free graphs, the
+caring-vertex construction meeting the lower bound when the
+triangle-edge-deleted graph is connected, the inductive construction
+meeting the upper bound for K4-free graphs with edge-disjoint diamonds,
+and the restriction of an arbitrary certificate to a well-separated subgraph.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import (
     NotTriangleFree,
     UnknownName,
 )
-from .exact import phylogeny_number_exact
 from .graphs import (
     Digraph,
     Edge,
@@ -44,9 +43,6 @@ __all__ = [
     "figure_catalog",
     "FIGURE_NAMES",
 ]
-
-UPPER_CONSTRUCTION_SOLVER_CAP = 16
-
 
 @dataclass(frozen=True)
 class Subgraph:
@@ -234,7 +230,7 @@ def _apply_step(asm: Assembly, step: dict) -> None:
             raise ValueError(f"trace step absorbs into unknown extra {step['extra']}")
         asm.extras[step["extra"]] |= 1 << step["vertex"]
         return
-    if op == "solved-base":
+    if op == "triangle-free-base":
         for t, h in step["in_arcs"]:
             asm.in_set[h] |= 1 << t
         fresh = step["extras"]
@@ -305,16 +301,16 @@ def _edge_on_triangle(graph: Graph, u: int, v: int) -> bool:
     return bool(graph.adj[u] & graph.adj[v])
 
 
-def _build_upper(graph: Graph, order: Sequence[int], asm: Assembly, steps: list[dict], solver_cap: int) -> None:
+def _build_upper(graph: Graph, order: Sequence[int], asm: Assembly, steps: list[dict]) -> None:
     """Recursive proof-following construction; ids in ``asm`` are original."""
     report = sandwich_census(graph)
 
-    if report.t <= 2:
+    if report.t == 0:
         part = Assembly(asm.n)
-        part.absorb(phylogeny_number_exact(graph, cap=solver_cap).witness, order)
+        part.absorb(construct_triangle_free(graph), order)
         first = len(asm.extras)
         _record(
-            asm, steps, op="solved-base", vertices=list(order),
+            asm, steps, op="triangle-free-base", vertices=list(order),
             in_arcs=sorted((t, h) for h in range(part.n) for t in bits(part.in_set[h])),
             extras=[(first + j, sorted(bits(members))) for j, members in enumerate(part.extras)],
         )
@@ -345,15 +341,15 @@ def _build_upper(graph: Graph, order: Sequence[int], asm: Assembly, steps: list[
             )
             for comp in (comp_x, comp_z):
                 sub, sub_order = g_star.induced_subgraph(comp)
-                _build_upper(sub, [order[v] for v in sub_order], asm, steps, solver_cap)
+                _build_upper(sub, [order[v] for v in sub_order], asm, steps)
             _repair_diamond(asm, steps, ox, oy, oz, ow, new_vertex_allowed=False)
         else:
             _check(len(comps) == 1, "deleting the center edges left over two components")
-            _build_upper(g_star, order, asm, steps, solver_cap)
+            _build_upper(g_star, order, asm, steps)
             _repair_diamond(asm, steps, ox, oy, oz, ow, new_vertex_allowed=True)
         return
 
-    # no diamond, at least three triangles: delete the smallest triangle edge
+    # no diamond, at least one triangle: delete the smallest triangle edge
     for u, v in graph.sorted_edges():
         common = graph.adj[u] & graph.adj[v]
         if common:
@@ -364,7 +360,7 @@ def _build_upper(graph: Graph, order: Sequence[int], asm: Assembly, steps: list[
     g_one = graph.without_edges([(u, v)])
     ou, ov, ow = order[u], order[v], order[w]
     _record(asm, steps, op="remove-triangle-edge", edge=[ou, ov], triangle=sorted((ou, ov, ow)))
-    _build_upper(g_one, order, asm, steps, solver_cap)
+    _build_upper(g_one, order, asm, steps)
     _repair_triangle(asm, steps, ou, ov, ow)
 
 
@@ -460,19 +456,19 @@ def _diamond_arc_heads(asm: Assembly, x: int, y: int, w: int) -> tuple[int, int]
     return (y, w)
 
 
-def construct_k4free_upper(graph: Graph, solver_cap: int = UPPER_CONSTRUCTION_SOLVER_CAP) -> ConstructionTrace:
+def construct_k4free_upper(graph: Graph) -> ConstructionTrace:
     """Certificate with at most m - n - t + 1 extras, built inductively.
 
-    Follows the proof shape: while more than two triangles remain, delete
-    either a diamond's three center edges or a lone triangle edge, build
-    a certificate for the smaller graph, and repair the deleted edges
-    without spending more than the allotted budget.  The recursion
-    bottoms out in the exact solver once at most two triangles remain.
+    Follows the proof shape: while a triangle remains, delete either a
+    diamond's three center edges or a lone triangle edge, build a
+    certificate for the smaller graph, and repair the deleted edges
+    within the allotted budget.  Once no triangle remains the recursion
+    ends in :func:`construct_triangle_free`, so nothing here searches.
     """
     report = sandwich_census(graph)
     asm = Assembly(graph.n)
     steps: list[dict] = []
-    _build_upper(graph, list(range(graph.n)), asm, steps, solver_cap)
+    _build_upper(graph, list(range(graph.n)), asm, steps)
     cert = asm.certificate(graph)
     bound = graph.m - graph.n - report.t + 1
     _check(

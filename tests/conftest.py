@@ -37,3 +37,23 @@ def all_digraph_arc_sets(n: int):
     pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
     for mask in range(1 << len(pairs)):
         yield [pairs[i] for i in bits(mask)]
+
+
+def diamond_necklace(k: int) -> Graph:
+    """k diamonds chained by 4-cycles: K4-free, edge-disjoint diamonds.
+
+    Diamond i is a-b, a-c, b-c, b-d, c-d on a, b, c, d = 4i .. 4i+3, and
+    its d joins the next diamond's a through a 4-cycle on two new
+    vertices.  So n = 6k - 2, m = 9k - 4, t = 2k and d = k, and the
+    sandwich's upper end m - n - t + 1 = k - 1 is exact.
+    """
+    edges = []
+    for i in range(k):
+        a, b, c, d = range(4 * i, 4 * i + 4)
+        edges += [(a, b), (a, c), (b, c), (b, d), (c, d)]
+    n = 4 * k
+    for i in range(k - 1):
+        d, a = 4 * i + 3, 4 * i + 4
+        edges += [(d, n), (n, a), (a, n + 1), (n + 1, d)]
+        n += 2
+    return Graph(n, edges)

@@ -12,6 +12,7 @@ from phylokit.formulas import FAMILY_CAP
 from phylokit.generate import GENERATOR_CAP
 from phylokit.graphs import format_graph, cycle_graph, parse_digraph, parse_graph
 from phylokit.witness import figure_catalog
+from conftest import diamond_necklace
 
 
 def write_catalog(tmp_path, name):
@@ -51,6 +52,15 @@ class TestCompute:
         capsys.readouterr()
         assert main(["verify", str(path), str(witness)]) == 0
         assert json.loads(capsys.readouterr().out)["extra_count"] == 1
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_diamond_necklace_witness_without_search(self, tmp_path, capsys, k):
+        path = tmp_path / "necklace.graph"
+        path.write_text(format_graph(diamond_necklace(k)))
+        witness = tmp_path / "necklace.wit"
+        assert main(["compute", str(path), "--force", "--witness", str(witness)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == k - 1
+        assert main(["verify", str(path), str(witness)]) == 0
 
     def test_size_cap_exit(self, tmp_path, capsys):
         # a 13-cycle with a K4 chorded in stays irreducible and defeats
@@ -329,6 +339,8 @@ class TestExitPaths:
             (["sweep", "--max-n", "9"], 2, f"error: the native generator is capped at --max-n {GENERATOR_CAP}\n"),
             (["catalog", "fig2_G", "--out", "{unwritable}"], 2, "error: "),
             (["export-dot", "{graph}", "{unwritable}"], 2, "error: "),
+            (["sweep", "--max-n", "0"], 2, "error: --max-n must be at least 1\n"),
+            (["sweep", "--max-n", "-3"], 2, "error: --max-n must be at least 1\n"),
         ],
     )
     def test_exit_code_and_stderr(self, tmp_path, capsys, argv, code, prefix):
@@ -375,5 +387,18 @@ class TestConsoleEntry:
             )
         finally:
             os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["catalog", "fig2_G"], ["compute", "{graph}"]])
+    def test_closed_fd1_exits_two(self, tmp_path, argv):
+        # with fd 1 closed at startup Python's sys.stdout is None
+        graph = write_catalog(tmp_path, "fig2_G")
+        proc = subprocess.run(
+            [sys.executable, "-m", "phylokit.cli", *(a.format(graph=graph) for a in argv)],
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=lambda: os.close(1),
+        )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -14,11 +14,12 @@ from phylokit.formulas import phylogeny_number_auto
 from phylokit.generate import connected_graphs_upto, graph6_encode
 
 SWEEP_N6_DIGEST = "61c9c1388099a5f98bf5b84d4da6f9e641592662c52adbce6bd5edd9d7cf54ee"
-# The solver searches the canonical relabelling of each kernel, and a
-# kernel is a relabelled subgraph, so 11 of these witnesses differ from
-# the ones a search in the kernel's own labels finds; values and methods
-# are pinned on their own below.
-AUTO_WITNESS_N6_DIGEST = "0906c95b03e7c25c6fdbad0194541e833ca1717de427e617ff73f0f3a8aad506"
+# A kernel whose value the sandwich's upper end gives exactly takes its
+# witness from the upper construction, which bottoms out in the
+# triangle-free spanning-tree construction rather than in a search, so
+# 11 of these witnesses differ from the solver's; values and methods are
+# pinned on their own below.
+AUTO_WITNESS_N6_DIGEST = "f15af1d5c301edb5e5f7b416d28d6c218094942facb17f98c7828a87ec1b485a"
 AUTO_VALUE_N6_DIGEST = "4a6b3aa5c5dd0e120c45bfc899f62c1e16bf10d537f4fbd28e3d06b030c44438"
 SOLVER_WITNESS_N6_DIGEST = "d3a03c37f3376e70221e0f589bed9c2eba1ddb90f85fb05223eab422a219f226"
 

@@ -10,6 +10,7 @@ import os
 import pytest
 
 from conftest import all_digraph_arc_sets
+from phylokit.derived import validate_phylogeny_digraph
 from phylokit.errors import CyclicDigraph
 from phylokit.exact import phylogeny_number_exact
 from phylokit.generate import connected_graphs
@@ -37,11 +38,13 @@ def test_sandwich_cover_and_constructions_at_eight_vertices():
         components = len(rep.g_minus_components)
         if components == 1:
             assert exact == lower
-        if components == 2 * rep.t - rep.d + 1:
-            assert exact == upper
-        assert edge_clique_cover_number(g) == g.m - 2 * rep.t + rep.d
         trace = construct_k4free_upper(g)
-        assert trace.certificate.extra_count <= upper
+        if components == 2 * rep.t - rep.d + 1:
+            assert exact == upper == trace.certificate.extra_count
+        assert edge_clique_cover_number(g) == g.m - 2 * rep.t + rep.d
+        cert = trace.certificate
+        validate_phylogeny_digraph(cert.digraph, cert.base, g)
+        assert cert.extra_count <= upper
         assert replay_trace(g, trace.steps) == trace.certificate.digraph
 
 

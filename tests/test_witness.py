@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from phylokit.derived import validate_phylogeny_digraph
 from phylokit.errors import (
     ConditionViolated,
     Disconnected,
@@ -13,6 +14,7 @@ from phylokit.errors import (
     UnknownName,
 )
 from phylokit.exact import phylogeny_number_exact
+from phylokit.formulas import phylogeny_number_auto
 from phylokit.generate import connected_graphs_upto
 from phylokit.graphs import (
     Graph,
@@ -33,7 +35,7 @@ from phylokit.witness import (
     replay_trace,
     restriction_digraph,
 )
-from conftest import random_certificate
+from conftest import diamond_necklace, random_certificate
 from test_formulas import raises_under_optimization
 
 
@@ -134,12 +136,10 @@ class TestUpperConstruction:
         assert raises_under_optimization(
             "import phylokit.witness as w\n"
             "from phylokit.graphs import Digraph\n"
-            "from phylokit.results import PhyloResult\n"
-            "def solver(g, cap):\n"
+            "def base(g):\n"
             "    arcs = [(v, g.n + i) for i, e in enumerate(g.sorted_edges()) for v in e]\n"
-            "    cert = w.validate_phylogeny_digraph(Digraph(g.n + g.m, arcs), range(g.n), g)\n"
-            "    return PhyloResult('exact', 'solver', g.m, witness=cert)\n"
-            "w.phylogeny_number_exact = solver\n"
+            "    return w.validate_phylogeny_digraph(Digraph(g.n + g.m, arcs), range(g.n), g)\n"
+            "w.construct_triangle_free = base\n"
             "w.construct_k4free_upper(w.figure_catalog('fig3_G1'))"
         )
 
@@ -151,17 +151,29 @@ class TestUpperConstruction:
             replay_trace(g, steps)
 
     def test_budget_on_all_small_in_scope(self):
-        for g in connected_graphs_upto(6):
+        for g in connected_graphs_upto(7):
             if not in_k4free_diamond_scope(g):
                 continue
             rep = census(g)
             trace = construct_k4free_upper(g)
-            budget = g.m - g.n - rep.t + 1
-            assert trace.certificate.extra_count <= budget
-            assert replay_trace(g, trace.steps) == trace.certificate.digraph
+            cert = trace.certificate
+            validate_phylogeny_digraph(cert.digraph, cert.base, g)
+            assert cert.extra_count <= g.m - g.n - rep.t + 1
+            assert replay_trace(g, trace.steps) == cert.digraph
             if len(rep.g_minus_components) == 2 * rep.t - rep.d + 1:
                 exact = phylogeny_number_exact(g, want_witness=False).value
-                assert trace.certificate.extra_count == exact
+                assert cert.extra_count == exact
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_diamond_necklace_meets_the_upper_end(self, k):
+        # 22 and 46 vertices: no search, so no solver cap applies
+        g = diamond_necklace(k)
+        budget = g.m - g.n - census(g).t + 1
+        assert budget == k - 1
+        auto = phylogeny_number_auto(g, want_witness=True)
+        for cert in (construct_k4free_upper(g).certificate, auto.witness):
+            validate_phylogeny_digraph(cert.digraph, cert.base, g)
+            assert cert.extra_count == budget
 
 
 class TestRestriction:
