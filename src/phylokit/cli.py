@@ -6,10 +6,11 @@ Subcommands: ``compute`` (value with optional witness file), ``verify``
 graphs), ``catalog`` (worked examples) and ``export-dot``.
 
 Exit codes: 0 success, 1 invalid certificate in ``verify`` or
-``export-dot --kind certificate``, 2 unreadable or malformed input or an
-unwritable output path, 3 size cap exceeded without --force, 4 sweep
-found a disagreement.  Commands raise; :func:`main` alone maps the
-exception to its exit code and a one-line stderr message.
+``export-dot --kind certificate``, 2 unreadable or malformed input, an
+option value out of range or an unwritable output path, 3 size cap or
+search budget exceeded, 4 sweep found a disagreement.  Commands raise;
+:func:`main` alone maps the exception to its exit code and a one-line
+stderr message.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from .derived import certificate_to_dot, digraph_to_dot, graph_to_dot, validate_phylogeny_digraph
-from .errors import CertificateError, ParseError, PhylokitError, TooLarge
+from .errors import BudgetExhausted, CertificateError, ParseError, PhylokitError, TooLarge
 from .exact import SOLVER_CAP_DEFAULT
 from .formulas import (
     bounds_k4free,
@@ -57,7 +58,15 @@ def _read(path: str, parse: Callable[[str], T]) -> T:
     return parse(Path(path).read_text())
 
 
+def _at_least(value: int | None, least: int, flag: str) -> None:
+    if value is not None and value < least:
+        raise ParseError(f"{flag} must be at least {least}")
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
+    _at_least(args.max_n, 0, "--max-n")
+    _at_least(args.max_extras, 0, "--max-extras")
+    _at_least(args.time_budget_ms, 0, "--time-budget-ms")
     graph = _read(args.file, parse_graph)
     cap = graph.n if args.force else args.max_n
     deadline = None
@@ -101,6 +110,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    _at_least(args.max_n, 0, "--max-n")
     graph = _read(args.file, parse_graph)
     payload: dict = {"graph": {"n": graph.n, "m": graph.m}}
     try:
@@ -123,18 +133,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    _at_least(args.max_n, 0, "--max-n")
     graph = _read(args.file, parse_graph)
     print(json.dumps(census_json(graph, theta_cap=args.max_n)))
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.max_n < 1:
-        print("error: --max-n must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
+    _at_least(args.max_n, 1, "--max-n")
+    _at_least(args.threads, 1, "--threads")
     if args.max_n > GENERATOR_CAP and args.graph6 is None:
-        print(f"error: the native generator is capped at --max-n {GENERATOR_CAP}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError(f"the native generator is capped at --max-n {GENERATOR_CAP}")
     lines = None
     if args.graph6 == "-":
         lines = sys.stdin.read().splitlines()
@@ -308,7 +317,9 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PARSE
     except TooLarge as exc:
-        hint = " (pass --force to search anyway)" if args.command == "compute" else ""
+        # --force lifts the solver's size cap, not a search budget
+        size_cap = args.command == "compute" and not isinstance(exc, BudgetExhausted)
+        hint = " (pass --force to search anyway)" if size_cap else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_TOO_LARGE
 

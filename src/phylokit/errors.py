@@ -6,7 +6,11 @@ class PhylokitError(Exception):
 
 
 class ParseError(PhylokitError):
-    """Malformed edge-list input (bad counts, duplicates, loops, bad ids)."""
+    """Malformed input: an edge list, a graph6 line or a command-line value.
+
+    An edge list fails on bad counts, duplicates, loops or bad ids, and a
+    command-line value when it lies outside its range.
+    """
 
 
 class CyclicDigraph(PhylokitError):
@@ -23,6 +27,13 @@ class UnknownName(PhylokitError):
 
 class TooLarge(PhylokitError):
     """Input exceeds a size cap: an exact (exponential-time) routine's or the family's."""
+
+
+class BudgetExhausted(TooLarge):
+    """An exact search ran out of its extra-count or time budget.
+
+    A :class:`TooLarge` that lifting a size cap cannot cure.
+    """
 
 
 class Infeasible(PhylokitError):

@@ -8,6 +8,16 @@ inside an extra's clique, and the member->head relation on base vertices
 must be acyclic.  The solver searches those assignments directly,
 deepening on the number of extras, so the first success is minimal.
 
+The search prunes with a base-sink bound: the base arcs of a finished
+certificate form a DAG, so some vertex still without out-arcs ends as a
+sink, and a sink's edges lie only in cliques through it (the extras'
+and, for the phylogeny number, its own closed in-set).  A node where no
+such vertex can cover its uncovered edges with the extras left is cut.
+Only subtrees without a solution are cut, so the first success in
+depth-first order, and every value and witness, stay as without the
+bound.  At the root it is a weak form of Opsut's bound
+k(G) >= min_v theta(N(v)).
+
 Both exact solvers search the canonical relabelling of their input
 (:func:`generate.canonical_labeling`), so the branch order refers to
 canonical ids and isomorphic inputs run the identical search.  A
@@ -20,7 +30,7 @@ from __future__ import annotations
 import time
 
 from .derived import Assembly
-from .errors import CrossCheckFailed, Infeasible, TooLarge
+from .errors import BudgetExhausted, CrossCheckFailed, Infeasible, TooLarge
 from .generate import canonical_labeling
 from .graphs import Graph, bits, connected_components
 from .results import PhyloResult
@@ -55,6 +65,18 @@ class _HeadSearch:
     its arcs realize edges too.  For the competition number arcs realize
     nothing: the head is a third vertex, adjacent or not, and stays
     outside the clique.
+
+    Every node first applies the sink bound (:meth:`_some_sink_fits`).
+    Some base vertex v is a sink of the finished certificate, and since
+    arcs only accumulate down a branch, v has no out-arc at this node.
+    Each uncovered edge at v then lies in a fresh extra's clique through
+    v or, when the head joins its clique, in v's own closed in-set
+    (``slack`` = 1).  Uncovered neighbours of v that are pairwise
+    non-adjacent need distinct cliques, so when a greedy count of them
+    exceeds the extras left plus ``slack`` for every such v, no
+    completion exists and the node is cut.  Only subtrees without a
+    solution are cut, so the first success is the one found without the
+    bound.
     """
 
     def __init__(self, graph: Graph, head_joins: bool):
@@ -82,6 +104,13 @@ class _HeadSearch:
                     common &= adj[a]
                 moves.append((h, 1 << h, add, (1 << h) if head_joins else 0, add | common))
             self.head_moves.append(moves)
+        # for the sink bound: per vertex, its edges as (edge bit, other end),
+        # and the clique a sink's own closed in-set adds when heads join
+        self.incident: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(table.edges):
+            self.incident[u].append((1 << i, v))
+            self.incident[v].append((1 << i, u))
+        self.slack = 1 if head_joins else 0
 
     def reaches(self, start: int, targets: int) -> bool:
         """True iff some target vertex is reachable from start along arcs."""
@@ -102,16 +131,16 @@ class _HeadSearch:
         """The least budget from ``start`` on at which the search succeeds.
 
         ``max_extras`` and ``deadline`` (a ``time.monotonic`` instant)
-        abort with :class:`TooLarge` instead of truncating.  One dedicated
-        extra per edge always succeeds, so deepening past ``m`` is a
-        bug.
+        abort with :class:`BudgetExhausted` instead of truncating.  One
+        dedicated extra per edge always succeeds, so deepening past ``m``
+        is a bug.
         """
         budget = start
         while True:
             if max_extras is not None and budget > max_extras:
-                raise TooLarge(f"no certificate within {max_extras} extra vertices")
+                raise BudgetExhausted(f"no certificate within {max_extras} extra vertices")
             if deadline is not None and time.monotonic() > deadline:
-                raise TooLarge("time budget exhausted before the search finished")
+                raise BudgetExhausted("time budget exhausted before the search finished")
             if self.run(budget):
                 return budget
             budget += 1
@@ -131,6 +160,8 @@ class _HeadSearch:
         if covered == self.all_covered:
             return True
         remaining = self.all_covered & ~covered
+        if not self._some_sink_fits(remaining):
+            return False
         ei = (remaining & -remaining).bit_length() - 1
         in_mask = self.in_mask
         out_mask = self.out_mask
@@ -160,6 +191,30 @@ class _HeadSearch:
                 if self._dfs(covered | edge_mask):
                     return True
                 self.extras.pop()
+        return False
+
+    def _some_sink_fits(self, remaining: int) -> bool:
+        """False when no vertex without out-arcs can end as a sink.
+
+        The greedy count of a vertex's uncovered, pairwise non-adjacent
+        neighbours must fit in the extras left plus ``slack``.
+        """
+        spare = self.budget - len(self.extras) + self.slack
+        adj = self.graph.adj
+        out_mask = self.out_mask
+        for v in range(self.n):
+            if out_mask[v]:
+                continue
+            picked = 0
+            count = 0
+            for eb, w in self.incident[v]:
+                if remaining & eb and not adj[w] & picked:
+                    picked |= 1 << w
+                    count += 1
+                    if count > spare:
+                        break
+            else:
+                return True
         return False
 
 

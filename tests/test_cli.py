@@ -341,6 +341,34 @@ class TestExitPaths:
             (["export-dot", "{graph}", "{unwritable}"], 2, "error: "),
             (["sweep", "--max-n", "0"], 2, "error: --max-n must be at least 1\n"),
             (["sweep", "--max-n", "-3"], 2, "error: --max-n must be at least 1\n"),
+            (["sweep", "--max-n", "3", "--threads", "0"], 2, "error: --threads must be at least 1\n"),
+            (["sweep", "--max-n", "3", "--threads", "-2"], 2, "error: --threads must be at least 1\n"),
+            (["compute", "{graph}", "--max-n", "-1"], 2, "error: --max-n must be at least 0\n"),
+            (["compute", "{graph}", "--max-extras", "-1"], 2, "error: --max-extras must be at least 0\n"),
+            (
+                ["compute", "{graph}", "--time-budget-ms", "-5"],
+                2,
+                "error: --time-budget-ms must be at least 0\n",
+            ),
+            (["bounds", "{graph}", "--max-n", "-1"], 2, "error: --max-n must be at least 0\n"),
+            (["census", "{graph}", "--max-n", "-1"], 2, "error: --max-n must be at least 0\n"),
+            # only the size cap takes the --force hint; a search budget does not
+            (
+                ["compute", "{s6}", "--max-n", "3"],
+                3,
+                "error: exact solver capped at 3 vertices (got 6) (pass --force to search anyway)\n",
+            ),
+            (["compute", "{s6}", "--max-extras", "0"], 3, "error: no certificate within 0 extra vertices\n"),
+            (
+                ["compute", "{s6}", "--max-extras", "0", "--force"],
+                3,
+                "error: no certificate within 0 extra vertices\n",
+            ),
+            (
+                ["compute", "{s6}", "--time-budget-ms", "0", "--force"],
+                3,
+                "error: time budget exhausted before the search finished\n",
+            ),
         ],
     )
     def test_exit_code_and_stderr(self, tmp_path, capsys, argv, code, prefix):
@@ -351,8 +379,11 @@ class TestExitPaths:
             "small": tmp_path / "small.digraph",
             "bad_g6": tmp_path / "bad.g6",
             "unwritable": tmp_path / "no_such_dir" / "out",
+            "s6": tmp_path / "s6.graph",
         }
         paths["small"].write_text("3 0\n")
+        # p = 1, and no closed form or sandwich gives it, so only the search does
+        paths["s6"].write_text("6 10\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n3 5\n4 5\n")
         paths["bad_g6"].write_text("C~\nC!\n")
         capsys.readouterr()
         assert main([arg.format(**paths) for arg in argv]) == code

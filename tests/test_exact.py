@@ -1,6 +1,8 @@
-"""Exact solvers against the brute-force oracle and known values."""
+"""Exact solvers against the brute-force oracles and known values."""
 
 import random
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +14,7 @@ from phylokit.exact import (
     oracle_phylogeny_number,
     phylogeny_number_exact,
 )
-from phylokit.generate import connected_graphs_upto
+from phylokit.generate import canonical_graph6, connected_graphs, connected_graphs_upto
 from phylokit.graphs import (
     Graph,
     complete_graph,
@@ -130,6 +132,78 @@ class TestCompetitionNumber:
     def test_cap(self):
         with pytest.raises(TooLarge):
             competition_number_exact(cycle_graph(14))
+
+
+def roberts_competition_number(g: Graph) -> int:
+    """k(G) from Roberts' characterization, sharing nothing with the search.
+
+    G plus k isolated vertices is the competition graph of an acyclic
+    digraph iff some order v_1..v_n of V(G) gives each v_j a clique S_j
+    inside {v_1..v_{j-1}} (its in-set), and those cliques and k more (the
+    in-sets of the added vertices, placed last) cover E(G).  Enlarging a
+    clique never uncovers an edge, so each S_j is taken maximal in its
+    prefix.
+    """
+    index = {e: i for i, e in enumerate(g.sorted_edges())}
+
+    def inside(vertices) -> int:
+        return sum(1 << index[pair] for pair in combinations(sorted(vertices), 2) if pair in index)
+
+    cliques = [
+        frozenset(c)
+        for size in range(2, g.n + 1)
+        for c in combinations(range(g.n), size)
+        if all(pair in index for pair in combinations(c, 2))
+    ]
+
+    def maximal_within(prefix) -> list[int]:
+        within = [c for c in cliques if c <= prefix]
+        return [inside(c) for c in within if not any(c < d for d in within)] or [0]
+
+    # the covered-edge masks reachable once a vertex set is placed, in any order
+    reach = {frozenset(): {0}}
+    for _ in range(g.n):
+        grown: dict[frozenset, set[int]] = {}
+        for placed, masks in reach.items():
+            gains = maximal_within(placed)
+            for v in set(range(g.n)) - placed:
+                grown.setdefault(placed | {v}, set()).update(m | gain for m in masks for gain in gains)
+        reach = grown
+
+    @lru_cache(maxsize=None)
+    def cover(uncovered: int) -> int:
+        """Fewest cliques whose edges include ``uncovered``."""
+        if not uncovered:
+            return 0
+        lowest = uncovered & -uncovered
+        return 1 + min(cover(uncovered & ~inside(c)) for c in cliques if inside(c) & lowest)
+
+    full = (1 << len(index)) - 1
+    return min(cover(full & ~m) for m in reach[frozenset(range(g.n))])
+
+
+class TestCompetitionOracle:
+    """The competition solver against Roberts' characterization."""
+
+    def test_known_values(self):
+        assert roberts_competition_number(complete_graph(3)) == 1
+        assert roberts_competition_number(cycle_graph(4)) == 2
+        assert roberts_competition_number(disjoint_union(complete_graph(2), empty_graph(1))) == 0
+
+    def test_every_graph_up_to_five_vertices(self):
+        graphs = {}
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+                graphs.setdefault(canonical_graph6(g), g)
+        assert len(graphs) == 1 + 1 + 2 + 4 + 11 + 34
+        for g in graphs.values():
+            assert competition_number_exact(g) == roberts_competition_number(g), g
+
+    def test_connected_six_vertex_graphs(self):
+        for g in connected_graphs(6):
+            assert competition_number_exact(g) == roberts_competition_number(g), g
 
 
 class TestLabelIndependence:
