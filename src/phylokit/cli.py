@@ -142,6 +142,9 @@ def cmd_census(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     _at_least(args.max_n, 1, "--max-n")
     _at_least(args.threads, 1, "--threads")
+    most = os.cpu_count() or 1
+    if args.threads > most:
+        raise ParseError(f"--threads must be at most {most}")
     if args.max_n > GENERATOR_CAP and args.graph6 is None:
         raise ParseError(f"the native generator is capped at --max-n {GENERATOR_CAP}")
     lines = None

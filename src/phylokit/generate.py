@@ -34,8 +34,9 @@ def graph6_encode(graph: Graph) -> str:
     chars = [chr(n + 63)]
     bitstring = []
     for j in range(1, n):
+        row = graph.adj[j]
         for i in range(j):
-            bitstring.append(1 if graph.has_edge(i, j) else 0)
+            bitstring.append(row >> i & 1)
     while len(bitstring) % 6:
         bitstring.append(0)
     for k in range(0, len(bitstring), 6):
@@ -171,34 +172,90 @@ def canonical_graph6(graph: Graph) -> str:
     return graph6_encode(canonical_graph(graph))
 
 
+def _pieces_without(adj: tuple[int, ...], u: int) -> list[int]:
+    """The connected components of the graph minus ``u``, as vertex masks."""
+    rest = ((1 << len(adj)) - 1) & ~(1 << u)
+    pieces = []
+    while rest:
+        reach = frontier = rest & -rest
+        while frontier:
+            grow = 0
+            for v in bits(frontier):
+                grow |= adj[v]
+            frontier = grow & rest & ~reach
+            reach |= frontier
+        pieces.append(reach)
+        rest &= ~reach
+    return pieces
+
+
+def _deletion_candidates(g: Graph) -> Iterator[int]:
+    """The subsets S whose extension of ``g`` may delete back canonically.
+
+    The extension joins a new vertex k to S.  It is skipped when some
+    vertex u of ``g`` has a higher degree than k after the join and is
+    not a cut vertex of the extension.  That holds when every component
+    of g - u meets S, since k then joins them.
+    """
+    k = g.n
+    degree = [a.bit_count() for a in g.adj]
+    by_degree = sorted(range(k), key=degree.__getitem__, reverse=True)
+    pieces = [_pieces_without(g.adj, u) for u in range(k)]
+    for subset in range(1, 1 << k):
+        size = subset.bit_count()
+        for u in by_degree:
+            if degree[u] < size:  # neither u nor any later vertex outranks k
+                yield subset
+                break
+            if degree[u] + (subset >> u & 1) > size and all(p & subset for p in pieces[u]):
+                break
+        else:
+            yield subset
+
+
+def _levels(n: int) -> Iterator[list[Graph]]:
+    """The connected graphs on 1, 2, ..., n vertices, one sorted level at a time."""
+    if n > GENERATOR_CAP:
+        raise TooLarge(f"generator capped at {GENERATOR_CAP} vertices (got {n})")
+    if n < 1:
+        return
+    level = [Graph(1)]
+    yield level
+    for k in range(1, n):
+        bigger: dict[str, Graph] = {}
+        for g in level:
+            base_edges = list(g.edges)
+            for subset in _deletion_candidates(g):
+                edges = base_edges + [(v, k) for v in bits(subset)]
+                candidate = canonical_graph(Graph(k + 1, edges))
+                bigger.setdefault(graph6_encode(candidate), candidate)
+        level = [bigger[key] for key in sorted(bigger)]
+        yield level
+
+
 def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on exactly n vertices, one per isomorphism class.
 
     Built level by level: every connected graph on k+1 vertices arises
-    from a connected graph on k vertices by adding one vertex joined to a
-    nonempty subset (every graph keeps at least two non-cut vertices, so
-    deleting one of them shows the converse).  Returned in canonical-code
-    order, each graph canonically labelled.
+    from a connected graph on k vertices by adding one vertex k joined to
+    a nonempty subset S.  Returned in canonical-code order, each graph
+    canonically labelled.
+
+    Only extensions whose vertex k could be the canonical deletion are
+    canonicalised: an extension is skipped when some non-cut vertex has
+    a higher degree than k.  Nothing is lost.  A connected H on k+1 >= 2
+    vertices has a non-cut vertex; let w be one of highest degree.
+    H - w is connected, so isomorphic to a graph g of level k.  Mapping
+    H - w onto g and w to k gives an extension of g isomorphic to H whose
+    vertex k passes the test.  Ties and automorphic subsets still give
+    duplicates, which the dedupe by canonical form removes.
     """
-    if n > GENERATOR_CAP:
-        raise TooLarge(f"generator capped at {GENERATOR_CAP} vertices (got {n})")
-    if n < 1:
-        return []
-    level: dict[str, Graph] = {}
-    single = Graph(1)
-    level[graph6_encode(single)] = single
-    for k in range(1, n):
-        bigger: dict[str, Graph] = {}
-        for g in level.values():
-            base_edges = list(g.edges)
-            for subset in range(1, 1 << k):
-                edges = base_edges + [(v, k) for v in bits(subset)]
-                candidate = canonical_graph(Graph(k + 1, edges))
-                bigger.setdefault(graph6_encode(candidate), candidate)
-        level = bigger
-    return [level[key] for key in sorted(level)]
+    last: list[Graph] = []
+    for last in _levels(n):
+        pass
+    return last
 
 
 def connected_graphs_upto(n_max: int) -> Iterator[Graph]:
-    for n in range(1, n_max + 1):
-        yield from connected_graphs(n)
+    for level in _levels(n_max):
+        yield from level

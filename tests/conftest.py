@@ -3,6 +3,7 @@
 import random
 
 from phylokit.derived import phylogeny_graph
+from phylokit.generate import canonical_graph, graph6_encode
 from phylokit.graphs import Digraph, Graph, bits
 
 
@@ -57,3 +58,21 @@ def diamond_necklace(k: int) -> Graph:
         edges += [(d, n), (n, a), (a, n + 1), (n + 1, d)]
         n += 2
     return Graph(n, edges)
+
+
+def naive_connected_graphs(n: int) -> list[Graph]:
+    """The connected graphs on n vertices, canonicalising every extension.
+
+    The generator without its canonical-deletion test: each connected
+    graph on k vertices is joined to a new vertex by every nonempty
+    subset, and all extensions are deduplicated by canonical form.
+    """
+    level = [Graph(1)]
+    for k in range(1, n):
+        bigger: dict[str, Graph] = {}
+        for g in level:
+            for subset in range(1, 1 << k):
+                candidate = canonical_graph(Graph(k + 1, [*g.edges, *((v, k) for v in bits(subset))]))
+                bigger.setdefault(graph6_encode(candidate), candidate)
+        level = [bigger[key] for key in sorted(bigger)]
+    return level

@@ -390,6 +390,22 @@ class TestExitPaths:
         captured = capsys.readouterr()
         assert captured.err.startswith(prefix) and captured.out == ""
 
+    def test_threads_above_cpu_count(self, monkeypatch, capsys):
+        # a wrong bound fails here instead of starting the workers
+        import multiprocessing
+
+        import phylokit.cli as cli_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep started before checking --threads")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(cli_module, "sweep_graphs", refuse)
+        assert main(["sweep", "--max-n", "3", "--threads", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --threads must be at most 2\n" and captured.out == ""
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):

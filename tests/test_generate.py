@@ -14,6 +14,7 @@ from phylokit.generate import (
     graph6_encode,
 )
 from phylokit.graphs import Graph, complete_graph, cycle_graph
+from conftest import naive_connected_graphs
 
 
 class TestGraph6:
@@ -68,6 +69,47 @@ class TestGeneration:
         for g in connected_graphs(5):
             assert len(connected_components(g)) == 1
             assert canonical_graph(g) == g
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_naive_generator(self, n):
+        mine = connected_graphs(n)
+        naive = naive_connected_graphs(n)
+        assert [graph6_encode(g) for g in mine] == [graph6_encode(g) for g in naive]
+        assert mine == naive
+
+    def test_canonicalises_few_extensions(self, monkeypatch):
+        # 7,815 extensions are canonicalised without the canonical-deletion test
+        import phylokit.generate as generate
+
+        calls = 0
+        original = generate.canonical_graph
+
+        def counted(graph):
+            nonlocal calls
+            calls += 1
+            return original(graph)
+
+        monkeypatch.setattr(generate, "canonical_graph", counted)
+        assert len(generate.connected_graphs(7)) == 853
+        assert calls <= 3000
+
+    def test_upto_builds_each_level_once(self, monkeypatch):
+        import phylokit.generate as generate
+
+        calls = 0
+        original = generate.canonical_graph
+
+        def counted(graph):
+            nonlocal calls
+            calls += 1
+            return original(graph)
+
+        monkeypatch.setattr(generate, "canonical_graph", counted)
+        upto = list(generate.connected_graphs_upto(6))
+        upto_calls, calls = calls, 0
+        assert len(generate.connected_graphs(6)) == 112
+        assert upto_calls == calls
+        assert upto == [g for n in range(1, 7) for g in generate.connected_graphs(n)]
 
     def test_cap(self):
         with pytest.raises(TooLarge):

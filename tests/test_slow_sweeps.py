@@ -1,6 +1,7 @@
 """Wider sweeps, off by default: set PHYLOKIT_SLOW_TESTS=1 to run.
 
 These push the module invariants one size past the acceptance scope:
+the generator against its naive reference and the published count,
 sandwich, cover identity and upper-construction budget at 8 vertices,
 and the exhaustive labeling/acyclicity equivalence at 5 vertices.
 """
@@ -9,7 +10,7 @@ import os
 
 import pytest
 
-from conftest import all_digraph_arc_sets
+from conftest import all_digraph_arc_sets, naive_connected_graphs
 from phylokit.derived import validate_phylogeny_digraph
 from phylokit.errors import CyclicDigraph
 from phylokit.exact import phylogeny_number_exact
@@ -23,6 +24,13 @@ slow = pytest.mark.skipif(
     not os.environ.get("PHYLOKIT_SLOW_TESTS"),
     reason="set PHYLOKIT_SLOW_TESTS=1 to run the extended sweeps",
 )
+
+
+@slow
+def test_generator_equals_naive_at_eight_vertices():
+    mine = connected_graphs(8)
+    assert len(mine) == 11117
+    assert mine == naive_connected_graphs(8)
 
 
 @slow
