@@ -17,6 +17,22 @@ from phylokit.graphs import Graph, complete_graph, cycle_graph
 from conftest import naive_connected_graphs
 
 
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """A list that gains one entry per ``generate.canonical_graph`` call."""
+    import phylokit.generate as generate
+
+    calls = []
+    original = generate.canonical_graph
+
+    def counted(graph):
+        calls.append(graph.n)
+        return original(graph)
+
+    monkeypatch.setattr(generate, "canonical_graph", counted)
+    return calls
+
+
 class TestGraph6:
     def test_known_strings(self):
         assert graph6_encode(complete_graph(4)) == "C~"
@@ -72,44 +88,21 @@ class TestGeneration:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_equals_naive_generator(self, n):
-        mine = connected_graphs(n)
-        naive = naive_connected_graphs(n)
-        assert [graph6_encode(g) for g in mine] == [graph6_encode(g) for g in naive]
-        assert mine == naive
+        mine = [graph6_encode(g) for g in connected_graphs(n)]
+        assert mine == [graph6_encode(g) for g in naive_connected_graphs(n)]
 
-    def test_canonicalises_few_extensions(self, monkeypatch):
+    def test_canonicalises_few_extensions(self, canonical_calls):
         # 7,815 extensions are canonicalised without the canonical-deletion test
-        import phylokit.generate as generate
+        assert len(connected_graphs(7)) == 853
+        assert len(canonical_calls) <= 3000
 
-        calls = 0
-        original = generate.canonical_graph
-
-        def counted(graph):
-            nonlocal calls
-            calls += 1
-            return original(graph)
-
-        monkeypatch.setattr(generate, "canonical_graph", counted)
-        assert len(generate.connected_graphs(7)) == 853
-        assert calls <= 3000
-
-    def test_upto_builds_each_level_once(self, monkeypatch):
-        import phylokit.generate as generate
-
-        calls = 0
-        original = generate.canonical_graph
-
-        def counted(graph):
-            nonlocal calls
-            calls += 1
-            return original(graph)
-
-        monkeypatch.setattr(generate, "canonical_graph", counted)
-        upto = list(generate.connected_graphs_upto(6))
-        upto_calls, calls = calls, 0
-        assert len(generate.connected_graphs(6)) == 112
-        assert upto_calls == calls
-        assert upto == [g for n in range(1, 7) for g in generate.connected_graphs(n)]
+    def test_upto_builds_each_level_once(self, canonical_calls):
+        upto = list(connected_graphs_upto(6))
+        upto_calls = len(canonical_calls)
+        canonical_calls.clear()
+        assert len(connected_graphs(6)) == 112
+        assert upto_calls == len(canonical_calls)
+        assert upto == [g for n in range(1, 7) for g in connected_graphs(n)]
 
     def test_cap(self):
         with pytest.raises(TooLarge):

@@ -28,14 +28,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def workload_names() -> list[str]:
-    return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-
-
-def end_to_end_names() -> list[str]:
-    return [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def commit_of(checkout: Path) -> str | None:
@@ -72,7 +65,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 
 def summarise(runs: list[dict]) -> dict:
-    metrics = end_to_end_names()
+    metrics = [m["name"] for m in BENCHMARK["end_to_end"]]
     summary: dict = {}
     for run in runs:
         if run["trace"]:
@@ -92,7 +85,7 @@ def summarise(runs: list[dict]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    names = workload_names()
+    names = [w["name"] for w in BENCHMARK["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json at the repository root")
     parser.add_argument("--seed", type=int, default=1)
