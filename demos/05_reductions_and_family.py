@@ -1,8 +1,8 @@
 """Reductions, decompositions, and graphs separating p from k.
 
-Pendant vertices and complete leaf blocks never change the phylogeny
-number, and component values add, so many graphs shrink to small
-kernels before any search runs.  Splitting along cut vertices into
+Peeling a complete leaf block (a pendant edge is a K2 block) never
+changes the phylogeny number, and component values add, so many graphs
+shrink to small kernels before any search runs.  Splitting along cut vertices into
 vertex-transitive parts even gives exact sums.  Combining both with the
 competition number yields, for every l >= 0, a connected graph whose
 phylogeny number exceeds its competition number by exactly l - 1.

@@ -52,12 +52,10 @@ from .results import PhyloResult
 from .structure import (
     StructureReport,
     census,
-    clique_leaf_blocks,
     component_of_gminus,
     edge_clique_cover_number,
     is_vertex_transitive,
     maximal_cliques,
-    pendant_vertices,
 )
 from .witness import (
     ConstructionTrace,
@@ -97,8 +95,6 @@ __all__ = [
     "maximal_cliques",
     "edge_clique_cover_number",
     "is_vertex_transitive",
-    "pendant_vertices",
-    "clique_leaf_blocks",
     "phylogeny_number_exact",
     "oracle_phylogeny_number",
     "competition_number_exact",

@@ -221,11 +221,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     else:
         digraph = _read(args.file, parse_digraph)
         if args.base_size is None or not 0 <= args.base_size <= digraph.n:
-            print(
-                f"error: --base-size in 0..{digraph.n} is required for kind=certificate",
-                file=sys.stderr,
-            )
-            return EXIT_PARSE
+            raise ParseError(f"--base-size in 0..{digraph.n} is required for kind=certificate")
         dot = certificate_to_dot(digraph, range(args.base_size))
     if args.out:
         Path(args.out).write_text(dot)

@@ -5,8 +5,8 @@ keyed on how many components survive deleting all triangle edges.  For
 connected K4-free graphs with pairwise edge-disjoint diamonds the number
 is sandwiched between m - n - 2t + d + 1 and m - n - t + 1, with each
 end exact under a component-count condition on the triangle-deleted
-graph.  Reductions peel pendant vertices and complete leaf blocks, and
-two decomposition rules turn part values into bounds or exact values.
+graph.  Reductions peel complete leaf blocks, and two decomposition
+rules turn part values into bounds or exact values.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .exact import (
 )
 from .graphs import (
     Graph,
+    bits,
     complete_graph,
     connected_components,
     cut_vertices_and_blocks,
@@ -38,11 +39,9 @@ from .results import PhyloResult
 from .structure import (
     StructureReport,
     census,
-    clique_leaf_blocks,
     component_of_gminus,
     edge_clique_cover_number,
     is_vertex_transitive,
-    pendant_vertices,
     sandwich_census,
 )
 from .witness import (
@@ -254,58 +253,61 @@ def lower_bound_triangle_free_subgraph(graph: Graph, sub: Subgraph) -> PhyloResu
 
 
 def reduce_graph(graph: Graph) -> tuple[list[Graph], list[dict]]:
-    """Peel pendant vertices and complete leaf blocks, split components.
+    """Peel complete leaf blocks off each component's list of blocks.
 
-    Returns (kernels, replayable log).  Both peels preserve the phylogeny
-    number and component values add up, so the graph's number is the
-    sum over kernels.  Complete components are dropped outright since
-    their value is zero.
+    The blocks are found once.  A leaf block has one vertex, its cut
+    vertex, that also lies in another remaining block; deleting a complete
+    leaf block's other vertices preserves the phylogeny number.  Each round
+    peels every K2 leaf block at once, or else the complete leaf block with
+    the smallest edge.  A component left as one complete block or one
+    vertex is dropped, since its value is zero; component values add up,
+    so the graph's number is the sum over kernels.
+
+    Returns (kernels, replayable log).
     """
     log: list[dict] = []
     kernels: list[Graph] = []
     comps = connected_components(graph)
     if len(comps) != 1:
         log.append({"op": "split-components", "components": [list(c) for c in comps]})
+    block_masks = []  # sorted by smallest edge
+    for block in cut_vertices_and_blocks(graph)[1]:
+        mask = 0
+        for u, v in block:
+            mask |= 1 << u | 1 << v
+        block_masks.append(mask)
     for comp in comps:
-        alive = list(comp)
-        while True:
-            sub, to_orig = graph.induced_subgraph(alive)
-            # cliques first: both ends of a K2 are pendants, and peeling them
-            # together would give each one the other as parent
-            if sub.is_clique(sub.vertex_mask()):
-                log.append({"op": "drop-clique-component", "vertices": [to_orig[v] for v in range(sub.n)]})
-                alive = []
+        alive = sum(1 << v for v in comp)
+        blocks = [mask for mask in block_masks if mask & alive]
+        while len(blocks) > 1:
+            seen = shared = 0  # shared: vertices in two or more remaining blocks
+            for mask in blocks:
+                shared |= seen & mask
+                seen |= mask
+            leaves = []
+            for mask in blocks:
+                cut = mask & shared  # never empty: the component is connected
+                if cut & (cut - 1) == 0 and graph.is_clique(mask):
+                    leaves.append((mask, cut))
+            peel = [leaf for leaf in leaves if leaf[0].bit_count() == 2] or leaves[:1]
+            if not peel:
                 break
-            pendants = sorted(pendant_vertices(sub))
-            if pendants:
-                pairs = [
-                    [to_orig[v], to_orig[sub.neighbors(v)[0]]]
-                    for v in pendants
-                ]
-                log.append({"op": "delete-pendants", "pairs": pairs})
-                dropped = {to_orig[v] for v in pendants}
-                alive = [v for v in alive if v not in dropped]
-                continue
-            leaf_blocks = clique_leaf_blocks(sub)
-            if leaf_blocks:
-                block, cut = leaf_blocks[0]
-                block_vertices = sorted({v for e in block for v in e})
-                removed = [v for v in block_vertices if v != cut]
+            for mask, cut in peel:
                 log.append(
                     {
                         "op": "delete-clique-leaf-block",
-                        "vertices": [to_orig[v] for v in removed],
-                        "cut_vertex": to_orig[cut],
-                        "block": [to_orig[v] for v in block_vertices],
+                        "vertices": list(bits(mask ^ cut)),
+                        "cut_vertex": cut.bit_length() - 1,
+                        "block": list(bits(mask)),
                     }
                 )
-                dropped = {to_orig[v] for v in removed}
-                alive = [v for v in alive if v not in dropped]
-                continue
-            break
-        if alive:
-            sub, to_orig = graph.induced_subgraph(alive)
-            log.append({"op": "kernel", "index": len(kernels), "vertices": list(to_orig)})
+                alive ^= mask ^ cut
+            blocks = [mask for mask in blocks if mask & ~alive == 0]
+        if graph.is_clique(alive):
+            log.append({"op": "drop-clique-component", "vertices": list(bits(alive))})
+        else:
+            sub, to_orig = graph.induced_subgraph(bits(alive))
+            log.append({"op": "kernel", "index": len(kernels), "vertices": to_orig})
             kernels.append(sub)
     return kernels, log
 
@@ -318,10 +320,10 @@ def lift_reductions(
     """Turn kernel certificates into one certificate for the whole graph.
 
     Kernels keep their digraphs (ids mapped through the log, arcs leaving
-    an extra dropped); peeled pendants come back as arcs parent-to-pendant,
-    peeled clique blocks as transitive tournaments rooted at the cut vertex.
-    No extra vertices are added, so the lifted count is the sum of the
-    kernel counts.
+    an extra dropped); every peeled or dropped clique comes back as a
+    transitive tournament in its listed order, cut vertex first.  No extra
+    vertices are added, so the lifted count is the sum of the kernel
+    counts.
     """
     kernel_entries = [entry for entry in log if entry["op"] == "kernel"]
     if len(kernel_entries) != len(kernel_certificates):
@@ -330,19 +332,17 @@ def lift_reductions(
     for entry, cert in zip(kernel_entries, kernel_certificates):
         asm.absorb(cert, entry["vertices"])
     in_set = asm.in_set
-    for entry in reversed(log):
-        if entry["op"] == "delete-pendants":
-            for v, neighbor in entry["pairs"]:
-                in_set[v] |= 1 << neighbor
-        elif entry["op"] in ("drop-clique-component", "delete-clique-leaf-block"):
-            if entry["op"] == "drop-clique-component":
-                ordered = sorted(entry["vertices"])
-            else:
-                rest = [v for v in entry["block"] if v != entry["cut_vertex"]]
-                ordered = [entry["cut_vertex"]] + sorted(rest)
-            for j in range(1, len(ordered)):
-                for i in range(j):
-                    in_set[ordered[j]] |= 1 << ordered[i]
+    for entry in log:
+        if entry["op"] == "delete-clique-leaf-block":
+            ordered = [entry["cut_vertex"], *entry["vertices"]]
+        elif entry["op"] == "drop-clique-component":
+            ordered = entry["vertices"]
+        else:
+            continue
+        earlier = 0
+        for v in ordered:
+            in_set[v] |= earlier
+            earlier |= 1 << v
     return asm.certificate(graph)
 
 

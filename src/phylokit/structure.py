@@ -3,8 +3,7 @@
 Everything the closed-form engine dispatches on lives here: the triangle
 and diamond lists, the triangle-edge-deleted graph (written G- below),
 maximal cliques and the per-edge clique table the exact searches branch
-on, the exact edge clique cover number, vertex transitivity and the
-block-level features used by the reductions.
+on, the exact edge clique cover number and vertex transitivity.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import HypothesisViolated, TooLarge, UnknownVertex
-from .graphs import Edge, Graph, bits, connected_components, cut_vertices_and_blocks
+from .graphs import Edge, Graph, bits, connected_components
 
 __all__ = [
     "StructureReport",
@@ -27,8 +26,6 @@ __all__ = [
     "edge_clique_table",
     "edge_clique_cover_number",
     "is_vertex_transitive",
-    "pendant_vertices",
-    "clique_leaf_blocks",
     "census_json",
 ]
 
@@ -344,33 +341,6 @@ def is_vertex_transitive(graph: Graph) -> bool:
     if len(degs) > 1:
         return False
     return all(_automorphism_exists(graph, v) for v in range(1, graph.n))
-
-
-def pendant_vertices(graph: Graph) -> set[int]:
-    return {v for v in range(graph.n) if graph.degree(v) == 1}
-
-
-def clique_leaf_blocks(graph: Graph) -> list[tuple[frozenset[Edge], int]]:
-    """Blocks that are complete subgraphs containing exactly one cut vertex.
-
-    Returns (block edge set, its cut vertex) pairs sorted by smallest
-    block edge.  Deleting such a block's non-cut vertices preserves the
-    phylogeny number, which is what the reduction engine exploits.
-    """
-    cut, blocks = cut_vertices_and_blocks(graph)
-    out = []
-    for block in blocks:
-        vertices = set()
-        for u, v in block:
-            vertices.add(u)
-            vertices.add(v)
-        if len(block) != len(vertices) * (len(vertices) - 1) // 2:
-            continue
-        cut_inside = vertices & cut
-        if len(cut_inside) == 1:
-            out.append((block, next(iter(cut_inside))))
-    out.sort(key=lambda pair: min(pair[0]))
-    return out
 
 
 def census_json(graph: Graph, theta_cap: int = THETA_CAP_DEFAULT) -> dict:

@@ -316,12 +316,13 @@ class TestCatalogAndDot:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"{clause}: ") and captured.out == ""
 
-    @pytest.mark.parametrize("base_size", ["9", "-2"])
+    @pytest.mark.parametrize("base_size", ["9", "-2", None])
     def test_export_base_size_out_of_range_exits_two(self, tmp_path, capsys, base_size):
         path = tmp_path / "p3.digraph"
         path.write_text("3 2\n0 1\n1 2\n")
-        assert main(["export-dot", str(path), "--kind", "certificate", f"--base-size={base_size}"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        flag = [] if base_size is None else [f"--base-size={base_size}"]
+        assert main(["export-dot", str(path), "--kind", "certificate", *flag]) == 2
+        assert capsys.readouterr().err == "error: --base-size in 0..3 is required for kind=certificate\n"
 
 
 class TestExitPaths:

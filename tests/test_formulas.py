@@ -28,6 +28,7 @@ from phylokit.graphs import (
     cycle_graph,
     disjoint_union,
     path_graph,
+    star_graph,
 )
 from phylokit.witness import Subgraph, figure_catalog
 
@@ -212,6 +213,15 @@ class TestDecompositionBound:
 
 
 class TestReductions:
+    @staticmethod
+    def leaf(block, cut):
+        rest = [v for v in block if v != cut]
+        return {"op": "delete-clique-leaf-block", "vertices": rest, "cut_vertex": cut, "block": block}
+
+    @staticmethod
+    def drop(vertices):
+        return {"op": "drop-clique-component", "vertices": vertices}
+
     def test_tree_peels_away(self):
         kernels, log = reduce_graph(path_graph(6))
         assert kernels == []
@@ -220,17 +230,57 @@ class TestReductions:
     def test_glued_triangle_leaves_square(self):
         from phylokit.generate import canonical_graph6
 
-        kernels, _ = reduce_graph(figure_catalog("fig4_G1"))
+        kernels, log = reduce_graph(figure_catalog("fig4_G1"))
         assert len(kernels) == 1
         assert canonical_graph6(kernels[0]) == canonical_graph6(cycle_graph(4))
+        assert log == [
+            self.leaf([2, 4, 5], 2),
+            {"op": "kernel", "index": 0, "vertices": [0, 1, 2, 3]},
+        ]
 
     def test_disjoint_union_splits(self):
         kernels, _ = reduce_graph(disjoint_union(cycle_graph(4), cycle_graph(5)))
         assert kernels == [cycle_graph(4), cycle_graph(5)]
 
     def test_paw_disappears(self):
-        kernels, _ = reduce_graph(paw())
+        kernels, log = reduce_graph(paw())
         assert kernels == []
+        assert log == [self.leaf([2, 3], 2), self.drop([0, 1, 2])]
+
+    def test_star_peels_every_leaf_in_one_round(self):
+        _, log = reduce_graph(star_graph(3))
+        assert log == [self.leaf([0, 1], 0), self.leaf([0, 2], 0), self.leaf([0, 3], 0), self.drop([0])]
+
+    def test_path_peels_both_ends_in_one_round(self):
+        _, log = reduce_graph(path_graph(3))
+        assert log == [self.leaf([0, 1], 1), self.leaf([1, 2], 1), self.drop([1])]
+
+    def test_bowtie_peels_the_leaf_with_the_smallest_edge(self):
+        g = Graph(5, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
+        kernels, log = reduce_graph(g)
+        assert kernels == []
+        assert log == [self.leaf([0, 1, 4], 4), self.drop([2, 3, 4])]
+        arcs = phylogeny_number_auto(g, want_witness=True).witness.digraph.sorted_arcs()
+        assert arcs == [(0, 1), (2, 3), (2, 4), (3, 4), (4, 0), (4, 1)]
+
+    def test_blocks_found_once_per_call(self, monkeypatch):
+        from phylokit import formulas
+
+        calls = {"blocks": 0, "induced": 0}
+
+        def count(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(formulas, "cut_vertices_and_blocks", count("blocks", formulas.cut_vertices_and_blocks))
+        monkeypatch.setattr(Graph, "induced_subgraph", count("induced", Graph.induced_subgraph))
+        # a path, the paw and fig4_G1: several peel rounds, one kernel
+        g = disjoint_union(path_graph(5), paw(), figure_catalog("fig4_G1"))
+        kernels, _ = reduce_graph(g)
+        assert len(kernels) == 1
+        assert calls == {"blocks": 1, "induced": 1}
 
     def test_value_preserved_up_to_seven_vertices(self):
         for g in connected_graphs_upto(7):

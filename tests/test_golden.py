@@ -12,6 +12,7 @@ from phylokit.cli import main
 from phylokit.exact import phylogeny_number_exact
 from phylokit.formulas import phylogeny_number_auto
 from phylokit.generate import connected_graphs_upto, graph6_encode
+from phylokit.graphs import Graph
 
 SWEEP_N6_DIGEST = "61c9c1388099a5f98bf5b84d4da6f9e641592662c52adbce6bd5edd9d7cf54ee"
 # A kernel whose value the sandwich's upper end gives exactly takes its
@@ -20,6 +21,7 @@ SWEEP_N6_DIGEST = "61c9c1388099a5f98bf5b84d4da6f9e641592662c52adbce6bd5edd9d7cf5
 # 11 of these witnesses differ from the solver's; values and methods are
 # pinned on their own below.
 AUTO_WITNESS_N6_DIGEST = "f15af1d5c301edb5e5f7b416d28d6c218094942facb17f98c7828a87ec1b485a"
+AUTO_WITNESS_LABELLED_N5_DIGEST = "eca79b85fb8485aa7031b5e2a3efc329f2da8b78e57b47448ef63a9fc062cf63"
 AUTO_VALUE_N6_DIGEST = "4a6b3aa5c5dd0e120c45bfc899f62c1e16bf10d537f4fbd28e3d06b030c44438"
 SOLVER_WITNESS_N6_DIGEST = "d3a03c37f3376e70221e0f589bed9c2eba1ddb90f85fb05223eab422a219f226"
 
@@ -39,14 +41,26 @@ def test_sweep_n6_json_is_pinned(capsys):
     assert _digest(lines) == SWEEP_N6_DIGEST
 
 
+def _labelled_graphs(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(pairs)):
+        yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
 def test_auto_witnesses_n6_are_pinned():
-    lines = []
-    for g in connected_graphs_upto(6):
-        result = phylogeny_number_auto(g, want_witness=True)
-        arcs = result.witness.digraph.sorted_arcs()
-        lines.append(json.dumps([graph6_encode(g), result.value, result.method, arcs]))
-    assert len(lines) == 143
-    assert _digest(lines) == AUTO_WITNESS_N6_DIGEST
+    # connected graphs, then every labelled graph (forests, disconnected)
+    inputs = [
+        (list(connected_graphs_upto(6)), 143, AUTO_WITNESS_N6_DIGEST),
+        ([g for n in range(1, 6) for g in _labelled_graphs(n)], 1099, AUTO_WITNESS_LABELLED_N5_DIGEST),
+    ]
+    for graphs, count, digest in inputs:
+        lines = []
+        for g in graphs:
+            result = phylogeny_number_auto(g, want_witness=True)
+            arcs = result.witness.digraph.sorted_arcs()
+            lines.append(json.dumps([graph6_encode(g), result.value, result.method, arcs]))
+        assert len(lines) == count
+        assert _digest(lines) == digest
 
 
 def test_auto_values_n6_are_pinned():

@@ -12,16 +12,13 @@ from phylokit.graphs import (
     complete_graph,
     cycle_graph,
     path_graph,
-    star_graph,
 )
 from phylokit.structure import (
     census,
-    clique_leaf_blocks,
     component_of_gminus,
     edge_clique_cover_number,
     is_vertex_transitive,
     maximal_cliques,
-    pendant_vertices,
     triangle_edges,
 )
 from phylokit.sweep import sweep_one
@@ -205,25 +202,3 @@ class TestVertexTransitivity:
     def test_cap(self):
         with pytest.raises(TooLarge):
             is_vertex_transitive(cycle_graph(11))
-
-
-class TestBlocksFeatures:
-    def test_pendants(self):
-        assert pendant_vertices(paw()) == {3}
-        assert pendant_vertices(cycle_graph(4)) == set()
-        assert pendant_vertices(star_graph(3)) == {1, 2, 3}
-
-    def test_clique_leaf_blocks_on_glued_triangle(self):
-        blocks = clique_leaf_blocks(figure_catalog("fig4_G1"))
-        assert len(blocks) == 1
-        block, cut = blocks[0]
-        assert cut == 2
-        assert block == frozenset({(2, 4), (2, 5), (4, 5)})
-
-    def test_cycle_has_none(self):
-        assert clique_leaf_blocks(cycle_graph(4)) == []
-
-    def test_path_has_two(self):
-        blocks = clique_leaf_blocks(path_graph(3))
-        assert len(blocks) == 2
-        assert {cut for _, cut in blocks} == {1}
