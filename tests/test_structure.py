@@ -10,6 +10,7 @@ from phylokit.generate import connected_graphs_upto
 from phylokit.graphs import (
     Graph,
     complete_graph,
+    cut_vertices_and_blocks,
     cycle_graph,
     path_graph,
 )
@@ -202,3 +203,16 @@ class TestVertexTransitivity:
     def test_cap(self):
         with pytest.raises(TooLarge):
             is_vertex_transitive(cycle_graph(11))
+
+
+class TestBlocksFeatures:
+    def test_clique_leaf_blocks_on_glued_triangle(self):
+        cut, blocks = cut_vertices_and_blocks(figure_catalog("fig4_G1"))
+        assert cut == {2}
+        clique_leaves = []
+        for block in blocks:
+            vertices = {v for edge in block for v in edge}
+            is_clique = len(block) == len(vertices) * (len(vertices) - 1) // 2
+            if is_clique and len(vertices & cut) == 1:
+                clique_leaves.append(block)
+        assert clique_leaves == [frozenset({(2, 4), (2, 5), (4, 5)})]
