@@ -42,8 +42,8 @@ from .graphs import (
     Digraph,
     Graph,
     acyclic_labeling,
+    blocks,
     connected_components,
-    cut_vertices_and_blocks,
     is_acyclic,
     parse_digraph,
     parse_graph,
@@ -84,7 +84,7 @@ __all__ = [
     "is_acyclic",
     "acyclic_labeling",
     "connected_components",
-    "cut_vertices_and_blocks",
+    "blocks",
     "underlying_graph",
     "competition_graph",
     "phylogeny_graph",

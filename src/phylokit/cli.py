@@ -170,6 +170,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
+    _at_least(args.l, 0, "--l")
     graph, p_result, k = difference_family(args.l, verify_k=args.verify_k)
     payload = {
         "l": args.l,

@@ -5,8 +5,9 @@ keyed on how many components survive deleting all triangle edges.  For
 connected K4-free graphs with pairwise edge-disjoint diamonds the number
 is sandwiched between m - n - 2t + d + 1 and m - n - t + 1, with each
 end exact under a component-count condition on the triangle-deleted
-graph.  Reductions peel complete leaf blocks, and two decomposition
-rules turn part values into bounds or exact values.
+graph.  Reductions peel complete leaf blocks off the graph's block
+masks, and two decomposition rules turn part values into bounds or
+exact values.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .exact import (
 from .graphs import (
     Graph,
     bits,
+    blocks,
     complete_graph,
     connected_components,
-    cut_vertices_and_blocks,
     grid_2xk,
 )
 from .results import PhyloResult
@@ -255,13 +256,14 @@ def lower_bound_triangle_free_subgraph(graph: Graph, sub: Subgraph) -> PhyloResu
 def reduce_graph(graph: Graph) -> tuple[list[Graph], list[dict]]:
     """Peel complete leaf blocks off each component's list of blocks.
 
-    The blocks are found once.  A leaf block has one vertex, its cut
-    vertex, that also lies in another remaining block; deleting a complete
-    leaf block's other vertices preserves the phylogeny number.  Each round
-    peels every K2 leaf block at once, or else the complete leaf block with
-    the smallest edge.  A component left as one complete block or one
-    vertex is dropped, since its value is zero; component values add up,
-    so the graph's number is the sum over kernels.
+    The blocks are found once, as vertex masks.  A leaf block has one
+    vertex, its cut vertex, that also lies in another remaining block;
+    deleting a complete leaf block's other vertices preserves the
+    phylogeny number.  Each round peels every K2 leaf block at once, or
+    else the complete leaf block with the smallest edge.  A component left
+    as one complete block or one vertex is dropped, since its value is
+    zero; component values add up, so the graph's number is the sum over
+    kernels.
 
     Returns (kernels, replayable log).
     """
@@ -270,22 +272,17 @@ def reduce_graph(graph: Graph) -> tuple[list[Graph], list[dict]]:
     comps = connected_components(graph)
     if len(comps) != 1:
         log.append({"op": "split-components", "components": [list(c) for c in comps]})
-    block_masks = []  # sorted by smallest edge
-    for block in cut_vertices_and_blocks(graph)[1]:
-        mask = 0
-        for u, v in block:
-            mask |= 1 << u | 1 << v
-        block_masks.append(mask)
+    all_blocks = blocks(graph)  # sorted by smallest edge
     for comp in comps:
         alive = sum(1 << v for v in comp)
-        blocks = [mask for mask in block_masks if mask & alive]
-        while len(blocks) > 1:
+        remaining = [mask for mask in all_blocks if mask & alive]
+        while len(remaining) > 1:
             seen = shared = 0  # shared: vertices in two or more remaining blocks
-            for mask in blocks:
+            for mask in remaining:
                 shared |= seen & mask
                 seen |= mask
             leaves = []
-            for mask in blocks:
+            for mask in remaining:
                 cut = mask & shared  # never empty: the component is connected
                 if cut & (cut - 1) == 0 and graph.is_clique(mask):
                     leaves.append((mask, cut))
@@ -302,7 +299,7 @@ def reduce_graph(graph: Graph) -> tuple[list[Graph], list[dict]]:
                     }
                 )
                 alive ^= mask ^ cut
-            blocks = [mask for mask in blocks if mask & ~alive == 0]
+            remaining = [mask for mask in remaining if mask & ~alive == 0]
         if graph.is_clique(alive):
             log.append({"op": "drop-clique-component", "vertices": list(bits(alive))})
         else:
@@ -355,10 +352,10 @@ def decompose_equal(graph: Graph, parts: Sequence[Subgraph]) -> PhyloResult:
 
     Verifies (i) the parts are connected and their edge sets partition
     the host's, (ii) every cycle of the host stays inside one part
-    (equivalently: every block with a cycle has all its edges in one
-    part), (iii) all parts but at most one are vertex transitive.
-    Transitivity is confirmed lazily, smallest parts first, so one large
-    non-transitive part never needs checking.
+    (equivalently: every block with three or more vertices has all its
+    edges in one part), (iii) all parts but at most one are vertex
+    transitive.  Transitivity is confirmed lazily, smallest parts first,
+    so one large non-transitive part never needs checking.
     """
     if not parts:
         raise ConditionViolated("i", "at least one part is required")
@@ -376,17 +373,13 @@ def decompose_equal(graph: Graph, parts: Sequence[Subgraph]) -> PhyloResult:
         missing = sorted(graph.edges - seen_edges)
         raise ConditionViolated("i", f"edges {missing} belong to no part", detail=missing)
 
-    _, blocks = cut_vertices_and_blocks(graph)
-    for block in blocks:
-        if len(block) < 2:
+    for mask in blocks(graph):
+        if mask.bit_count() < 3:
             continue  # a bridge carries no cycle
-        owners = {idx for idx, part in enumerate(parts) if block & part.edges}
+        inside = [(u, v) for u, v in graph.sorted_edges() if mask >> u & mask >> v & 1]
+        owners = [idx for idx, part in enumerate(parts) if part.edges.intersection(inside)]
         if len(owners) > 1:
-            raise ConditionViolated(
-                "ii",
-                f"a cyclic block spans parts {sorted(owners)}",
-                detail=sorted(block),
-            )
+            raise ConditionViolated("ii", f"a cyclic block spans parts {owners}", detail=inside)
 
     order = sorted(range(len(parts)), key=lambda i: len(parts[i].vertices))
     confirmed = 0

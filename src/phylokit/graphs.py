@@ -2,8 +2,9 @@
 
 Vertices are dense integer ids ``0..n-1`` so adjacency can be kept in
 per-vertex bitmasks (plain Python ints), which is what the exact solver
-needs.  Both :class:`Graph` and :class:`Digraph` are immutable after
-construction; every "mutation" builds a new value.
+needs; :func:`blocks` returns vertex masks too.  Both :class:`Graph` and
+:class:`Digraph` are immutable after construction; every "mutation"
+builds a new value.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ __all__ = [
     "is_acyclic",
     "acyclic_labeling",
     "connected_components",
-    "cut_vertices_and_blocks",
+    "blocks",
     "parse_graph",
     "parse_digraph",
     "format_graph",
@@ -264,67 +265,63 @@ def connected_components(graph: Graph) -> list[list[int]]:
     return components
 
 
-def cut_vertices_and_blocks(graph: Graph) -> tuple[set[int], list[frozenset[Edge]]]:
-    """Biconnected decomposition: (cut vertices, blocks as edge sets).
+def blocks(graph: Graph) -> list[int]:
+    """Biconnected decomposition: the blocks as vertex masks.
 
-    Every edge lands in exactly one block; a vertex is a cut vertex iff
-    it lies in at least two blocks.  Iterative Hopcroft-Tarjan, so deep
-    paths do not hit the recursion limit.  Blocks are returned sorted by
-    their smallest edge.
+    A block is a bridge or a maximal 2-connected subgraph; every edge lies
+    in exactly one block, and an isolated vertex lies in none.  A cut
+    vertex is a vertex in two or more masks.  One iterative Tarjan pass
+    with a vertex stack, so deep paths do not hit the recursion limit.
+    Blocks are sorted by their smallest edge: the mask's lowest vertex u,
+    then u's lowest neighbour inside the mask.
     """
-    n = graph.n
-    visited = [False] * n
-    discovery = [0] * n
-    low = [0] * n
-    cut: set[int] = set()
-    blocks: list[frozenset[Edge]] = []
+    adj = graph.adj
+    unscanned = list(adj)
+    discovery = [0] * graph.n  # 0: not visited yet
+    low = [0] * graph.n
+    found: list[int] = []
     timer = 0
-
-    for root in range(n):
-        if visited[root]:
+    for root in range(graph.n):
+        if discovery[root]:
             continue
-        visited[root] = True
         discovery[root] = low[root] = timer = timer + 1
-        root_children = 0
-        edge_stack: list[Edge] = []
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(graph.neighbors(root)))]
-        while stack:
-            v, parent, children = stack[-1]
-            advanced = False
-            for w in children:
-                if w == parent:
-                    continue
-                if visited[w]:
-                    if discovery[w] < discovery[v]:
-                        low[v] = min(low[v], discovery[w])
-                        edge_stack.append(_norm_edge(v, w))
-                    continue
-                visited[w] = True
-                timer += 1
-                discovery[w] = low[w] = timer
-                edge_stack.append(_norm_edge(v, w))
-                stack.append((w, v, iter(graph.neighbors(w))))
-                advanced = True
+        path = [root]
+        open_vertices = [root]  # visited, block not closed yet
+        while path:
+            v = path[-1]
+            rest = unscanned[v]
+            if rest:
+                w_bit = rest & -rest
+                unscanned[v] = rest ^ w_bit
+                w = w_bit.bit_length() - 1
+                if not discovery[w]:
+                    discovery[w] = low[w] = timer = timer + 1
+                    path.append(w)
+                    open_vertices.append(w)
+                elif discovery[w] < low[v]:  # a back edge, or the tree edge up to v's parent
+                    low[v] = discovery[w]
+                continue
+            path.pop()
+            if not path:
                 break
-            if advanced:
-                continue
-            stack.pop()
-            if parent == -1:
-                if root_children > 1:
-                    cut.add(root)
-                continue
-            low[parent] = min(low[parent], low[v])
-            if parent == root:
-                root_children += 1
+            parent = path[-1]
             if low[v] >= discovery[parent]:
-                if parent != root:
-                    cut.add(parent)
-                marker = _norm_edge(parent, v)
-                idx = len(edge_stack) - 1 - edge_stack[::-1].index(marker)
-                blocks.append(frozenset(edge_stack[idx:]))
-                del edge_stack[idx:]
-    blocks.sort(key=lambda b: min(b))
-    return cut, blocks
+                # v closes a block at parent: pop vertices down to v
+                mask = 1 << parent
+                while not mask >> v & 1:
+                    mask |= 1 << open_vertices.pop()
+                found.append(mask)
+            elif low[v] < low[parent]:
+                low[parent] = low[v]
+
+    def smallest_edge(mask: int) -> tuple[int, int]:
+        # (1 << u, 1 << v) orders blocks as (u, v) would
+        u_bit = mask & -mask
+        inside = adj[u_bit.bit_length() - 1] & mask
+        return u_bit, inside & -inside
+
+    found.sort(key=smallest_edge)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,13 @@ def all_digraph_arc_sets(n: int):
         yield [pairs[i] for i in bits(mask)]
 
 
+def labelled_graphs(n: int):
+    """Every labelled simple graph on n vertices."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for mask in range(1 << len(pairs)):
+        yield Graph(n, [pairs[i] for i in bits(mask)])
+
+
 def diamond_necklace(k: int) -> Graph:
     """k diamonds chained by 4-cycles: K4-free, edge-disjoint diamonds.
 

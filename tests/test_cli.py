@@ -370,6 +370,7 @@ class TestExitPaths:
                 3,
                 "error: time budget exhausted before the search finished\n",
             ),
+            (["family", "--l", "-1"], 2, "error: --l must be at least 0\n"),
         ],
     )
     def test_exit_code_and_stderr(self, tmp_path, capsys, argv, code, prefix):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import labelled_graphs
 from phylokit.errors import ConditionViolated, HypothesisViolated, NotTriangleFree, TooLarge
 from phylokit.exact import phylogeny_number_exact
 from phylokit.formulas import (
@@ -274,7 +275,7 @@ class TestReductions:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(formulas, "cut_vertices_and_blocks", count("blocks", formulas.cut_vertices_and_blocks))
+        monkeypatch.setattr(formulas, "blocks", count("blocks", formulas.blocks))
         monkeypatch.setattr(Graph, "induced_subgraph", count("induced", Graph.induced_subgraph))
         # a path, the paw and fig4_G1: several peel rounds, one kernel
         g = disjoint_union(path_graph(5), paw(), figure_catalog("fig4_G1"))
@@ -299,12 +300,7 @@ class TestReductions:
     def test_auto_witness_on_all_small_graphs(self):
         # every labelled graph on at most 5 vertices (forests, isolated
         # edges, disconnected) and every connected graph on at most 7
-        def labelled(n):
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            for mask in range(1 << len(pairs)):
-                yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-        graphs = [g for n in range(1, 6) for g in labelled(n)]
+        graphs = [g for n in range(1, 6) for g in labelled_graphs(n)]
         graphs += list(connected_graphs_upto(7))
         assert len(graphs) == 1099 + 996
         for g in graphs:
@@ -373,6 +369,7 @@ class TestDecomposeEqual:
         with pytest.raises(ConditionViolated) as info:
             decompose_equal(g, parts)
         assert info.value.condition == "ii"
+        assert info.value.detail == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
     def test_transitivity_shortfall_rejected(self):
         # two triangles with tails meeting in the middle: neither part is

@@ -8,11 +8,11 @@ intended change of output has to update the pinned digest on purpose.
 import hashlib
 import json
 
+from conftest import labelled_graphs
 from phylokit.cli import main
 from phylokit.exact import phylogeny_number_exact
 from phylokit.formulas import phylogeny_number_auto
 from phylokit.generate import connected_graphs_upto, graph6_encode
-from phylokit.graphs import Graph
 
 SWEEP_N6_DIGEST = "61c9c1388099a5f98bf5b84d4da6f9e641592662c52adbce6bd5edd9d7cf54ee"
 # A kernel whose value the sandwich's upper end gives exactly takes its
@@ -41,17 +41,11 @@ def test_sweep_n6_json_is_pinned(capsys):
     assert _digest(lines) == SWEEP_N6_DIGEST
 
 
-def _labelled_graphs(n):
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-
 def test_auto_witnesses_n6_are_pinned():
     # connected graphs, then every labelled graph (forests, disconnected)
     inputs = [
         (list(connected_graphs_upto(6)), 143, AUTO_WITNESS_N6_DIGEST),
-        ([g for n in range(1, 6) for g in _labelled_graphs(n)], 1099, AUTO_WITNESS_LABELLED_N5_DIGEST),
+        ([g for n in range(1, 6) for g in labelled_graphs(n)], 1099, AUTO_WITNESS_LABELLED_N5_DIGEST),
     ]
     for graphs, count, digest in inputs:
         lines = []

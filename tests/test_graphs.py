@@ -1,18 +1,20 @@
 """Core graph types, traversal, ordering and the edge-list format."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from conftest import all_digraph_arc_sets
+from conftest import all_digraph_arc_sets, labelled_graphs
 from phylokit.errors import CyclicDigraph, ParseError, UnknownVertex
 from phylokit.graphs import (
     Digraph,
     Graph,
     acyclic_labeling,
+    bits,
+    blocks,
     complete_graph,
     connected_components,
-    cut_vertices_and_blocks,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -152,35 +154,73 @@ class TestComponents:
             assert sum(len(c) for c in connected_components(g)) == n
 
 
+def naive_blocks(g: Graph) -> list[int]:
+    """The blocks by definition, as masks sorted by smallest edge.
+
+    A block is a maximal vertex set S with |S| >= 2 such that G[S] is
+    connected and, when |S| > 2, stays connected after deleting any one
+    vertex.
+    """
+
+    def connected(vertices):
+        start = min(vertices)
+        seen, todo = {start}, [start]
+        while todo:
+            u = todo.pop()
+            for w in vertices - seen:
+                if g.has_edge(u, w):
+                    seen.add(w)
+                    todo.append(w)
+        return seen == vertices
+
+    candidates = [
+        set(vs)
+        for size in range(2, g.n + 1)
+        for vs in combinations(range(g.n), size)
+        if connected(set(vs)) and (size == 2 or all(connected(set(vs) - {v}) for v in vs))
+    ]
+    maximal = [s for s in candidates if not any(s < t for t in candidates)]
+    maximal.sort(key=lambda s: min(e for e in g.edges if set(e) <= s))
+    return [sum(1 << v for v in s) for s in maximal]
+
+
 class TestBlocks:
     def test_path(self):
-        cut, blocks = cut_vertices_and_blocks(path_graph(3))
-        assert cut == {1}
-        assert sorted(blocks, key=min) == [frozenset({(0, 1)}), frozenset({(1, 2)})]
+        assert blocks(path_graph(3)) == [0b011, 0b110]
 
     def test_cycle_single_block(self):
-        cut, blocks = cut_vertices_and_blocks(cycle_graph(4))
-        assert cut == set()
-        assert blocks == [frozenset(cycle_graph(4).edges)]
+        assert blocks(cycle_graph(4)) == [0b1111]
 
     def test_triangle_glued_to_square(self):
-        g = figure_catalog("fig4_G1")
-        cut, blocks = cut_vertices_and_blocks(g)
-        assert cut == {2}
-        assert len(blocks) == 2
+        # the 4-cycle 0-1-3-2 and the triangle 2-4-5 share the cut vertex 2
+        assert blocks(figure_catalog("fig4_G1")) == [0b001111, 0b110100]
 
     def test_edge_partition_and_cut_characterization(self):
         from phylokit.generate import connected_graphs_upto
 
-        for g in connected_graphs_upto(6):
-            cut, blocks = cut_vertices_and_blocks(g)
-            seen = [e for b in blocks for e in b]
-            assert sorted(seen) == g.sorted_edges()
-            membership = {v: 0 for v in range(g.n)}
-            for b in blocks:
-                for v in {x for e in b for x in e}:
-                    membership[v] += 1
-            assert {v for v, c in membership.items() if c >= 2} == cut
+        graphs = list(connected_graphs_upto(6))
+        graphs += [g for n in range(1, 6) for g in labelled_graphs(n)]
+        assert len(graphs) == 143 + 1099
+        for g in graphs:
+            masks = blocks(g)
+            assert masks == naive_blocks(g)
+            inside = [(u, v) for mask in masks for u, v in g.edges if mask >> u & mask >> v & 1]
+            assert sorted(inside) == g.sorted_edges()
+            seen = shared = 0  # shared: vertices in two or more blocks
+            for mask in masks:
+                shared |= seen & mask
+                seen |= mask
+            parts = len(connected_components(g))
+            raises = {
+                v
+                for v in range(g.n)
+                if len(connected_components(g.induced_subgraph(set(range(g.n)) - {v})[0])) > parts
+            }
+            assert set(bits(shared)) == raises
+
+    def test_deep_path_needs_no_recursion(self):
+        masks = blocks(path_graph(1500))
+        assert masks == [0b11 << v for v in range(1499)]
 
 
 class TestEdgeListFormat:

@@ -9,8 +9,9 @@ from phylokit.errors import TooLarge, UnknownVertex
 from phylokit.generate import connected_graphs_upto
 from phylokit.graphs import (
     Graph,
+    bits,
+    blocks,
     complete_graph,
-    cut_vertices_and_blocks,
     cycle_graph,
     path_graph,
 )
@@ -207,12 +208,12 @@ class TestVertexTransitivity:
 
 class TestBlocksFeatures:
     def test_clique_leaf_blocks_on_glued_triangle(self):
-        cut, blocks = cut_vertices_and_blocks(figure_catalog("fig4_G1"))
-        assert cut == {2}
-        clique_leaves = []
-        for block in blocks:
-            vertices = {v for edge in block for v in edge}
-            is_clique = len(block) == len(vertices) * (len(vertices) - 1) // 2
-            if is_clique and len(vertices & cut) == 1:
-                clique_leaves.append(block)
-        assert clique_leaves == [frozenset({(2, 4), (2, 5), (4, 5)})]
+        g = figure_catalog("fig4_G1")
+        masks = blocks(g)
+        seen = cut = 0  # cut: vertices in two or more blocks
+        for mask in masks:
+            cut |= seen & mask
+            seen |= mask
+        assert set(bits(cut)) == {2}
+        clique_leaves = [mask for mask in masks if g.is_clique(mask) and (mask & cut).bit_count() == 1]
+        assert [set(bits(mask)) for mask in clique_leaves] == [{2, 4, 5}]
