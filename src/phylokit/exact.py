@@ -31,7 +31,7 @@ import time
 
 from .derived import Assembly
 from .errors import BudgetExhausted, CrossCheckFailed, Infeasible, TooLarge
-from .generate import canonical_labeling
+from .generate import _relabel, canonical_labeling
 from .graphs import Graph, bits, connected_components
 from .results import PhyloResult
 from .structure import edge_clique_table, triangle_edges
@@ -130,17 +130,16 @@ class _HeadSearch:
     def deepen(self, start: int, max_extras: int | None = None, deadline: float | None = None) -> int:
         """The least budget from ``start`` on at which the search succeeds.
 
-        ``max_extras`` and ``deadline`` (a ``time.monotonic`` instant)
-        abort with :class:`BudgetExhausted` instead of truncating.  One
-        dedicated extra per edge always succeeds, so deepening past ``m``
-        is a bug.
+        ``max_extras`` and ``deadline`` (a ``time.monotonic`` instant,
+        checked at every search node) abort with :class:`BudgetExhausted`
+        instead of truncating.  One dedicated extra per edge always
+        succeeds, so deepening past ``m`` is a bug.
         """
         budget = start
+        self.deadline = deadline
         while True:
             if max_extras is not None and budget > max_extras:
                 raise BudgetExhausted(f"no certificate within {max_extras} extra vertices")
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExhausted("time budget exhausted before the search finished")
             if self.run(budget):
                 return budget
             budget += 1
@@ -157,6 +156,8 @@ class _HeadSearch:
         return self._dfs(0)
 
     def _dfs(self, covered: int) -> bool:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExhausted("time budget exhausted before the search finished")
         if covered == self.all_covered:
             return True
         remaining = self.all_covered & ~covered
@@ -168,8 +169,6 @@ class _HeadSearch:
         for h, hb, add, own, fits in self.head_moves[ei]:
             saved = in_mask[h]
             new_tails = add & ~saved
-            if new_tails == 0:
-                continue
             # saved | own is a clique already and add is one vertex or one
             # edge, so the union is a clique iff saved | own lies in fits
             if (saved | own) & ~fits:
@@ -228,10 +227,7 @@ def _canonical_form(graph: Graph) -> tuple[Graph, tuple[int, ...] | None]:
     order = canonical_labeling(graph)
     if order == tuple(range(graph.n)):
         return graph, None
-    position = [0] * graph.n
-    for new, old in enumerate(order):
-        position[old] = new
-    return Graph(graph.n, [(position[u], position[v]) for u, v in graph.edges]), order
+    return _relabel(graph, order), order
 
 
 def phylogeny_number_exact(

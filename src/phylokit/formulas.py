@@ -33,6 +33,7 @@ from .graphs import (
     bits,
     blocks,
     complete_graph,
+    component_masks,
     connected_components,
     grid_2xk,
 )
@@ -269,12 +270,11 @@ def reduce_graph(graph: Graph) -> tuple[list[Graph], list[dict]]:
     """
     log: list[dict] = []
     kernels: list[Graph] = []
-    comps = connected_components(graph)
+    comps = component_masks(graph.adj, graph.vertex_mask())
     if len(comps) != 1:
-        log.append({"op": "split-components", "components": [list(c) for c in comps]})
+        log.append({"op": "split-components", "components": [list(bits(c)) for c in comps]})
     all_blocks = blocks(graph)  # sorted by smallest edge
-    for comp in comps:
-        alive = sum(1 << v for v in comp)
+    for alive in comps:
         remaining = [mask for mask in all_blocks if mask & alive]
         while len(remaining) > 1:
             seen = shared = 0  # shared: vertices in two or more remaining blocks
@@ -492,7 +492,9 @@ def difference_family(l: int, verify_k: bool = False) -> tuple[Graph, PhyloResul
     competition number is 1.  ``verify_k`` recomputes it with the exact
     search, which requires the graph to fit the solver cap.
     """
-    if not 0 <= l <= FAMILY_CAP:
+    if l < 0:
+        raise ValueError(f"family parameter must be non-negative (got {l})")
+    if l > FAMILY_CAP:
         raise TooLarge(f"family parameter must lie in 0..{FAMILY_CAP}")
     if l == 0:
         graph = complete_graph(2)

@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import ParseError, TooLarge
-from .graphs import Graph, bits
+from .graphs import Graph, bits, component_masks
 
 __all__ = [
     "graph6_encode",
@@ -117,20 +117,14 @@ def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     return (adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u))
 
 
-@lru_cache(maxsize=1)
-def canonical_labeling(graph: Graph) -> tuple[int, ...]:
-    """A vertex order whose relabelled adjacency code is minimal.
+def _least_leaf(adj: tuple[int, ...], partition: list[list[int]]) -> tuple[list[int], tuple[int, ...]]:
+    """The least (code, order) leaf of the search from an ordered partition.
 
-    Returns ``order`` with ``order[i]`` = original vertex placed at i.
-    Deterministic, so equal codes mean isomorphic graphs and vice versa
-    within the generator's size range.  Memoised for the last graph
-    only, like ``structure.census``: the sweep names a graph and then
-    solves it, and both ask for its labelling.
+    Refinement is equivariant and a twin skip drops only a subtree
+    isomorphic to one already searched, so an automorphism that maps
+    one start partition onto another leaves the least code unchanged.
     """
-    n = graph.n
-    if n == 0:
-        return ()
-    adj = graph.adj
+    n = len(adj)
 
     def code_of(order: list[int]) -> list[int]:
         code = []
@@ -159,34 +153,38 @@ def canonical_labeling(graph: Graph) -> tuple[int, ...]:
         # the first vertex of the cell is always tried, so there is a leaf
         return min(leaves, key=lambda leaf: leaf[0])
 
-    return search([list(range(n))])[1]
+    return search(partition)
+
+
+@lru_cache(maxsize=1)
+def canonical_labeling(graph: Graph) -> tuple[int, ...]:
+    """A vertex order whose relabelled adjacency code is minimal.
+
+    Returns ``order`` with ``order[i]`` = original vertex placed at i.
+    Deterministic, so equal codes mean isomorphic graphs and vice versa
+    within the generator's size range.  Memoised for the last graph
+    only, like ``structure.census``: the sweep names a graph and then
+    solves it, and both ask for its labelling.
+    """
+    if graph.n == 0:
+        return ()
+    return _least_leaf(graph.adj, [list(range(graph.n))])[1]
+
+
+def _relabel(graph: Graph, order: tuple[int, ...]) -> Graph:
+    """The graph whose vertex ``i`` is vertex ``order[i]`` of ``graph``."""
+    position = [0] * graph.n
+    for new, old in enumerate(order):
+        position[old] = new
+    return Graph(graph.n, [(position[u], position[v]) for u, v in graph.edges])
 
 
 def canonical_graph(graph: Graph) -> Graph:
-    order = canonical_labeling(graph)
-    position = {old: new for new, old in enumerate(order)}
-    return Graph(graph.n, [(position[u], position[v]) for u, v in graph.edges])
+    return _relabel(graph, canonical_labeling(graph))
 
 
 def canonical_graph6(graph: Graph) -> str:
     return graph6_encode(canonical_graph(graph))
-
-
-def _pieces_without(adj: tuple[int, ...], u: int) -> list[int]:
-    """The connected components of the graph minus ``u``, as vertex masks."""
-    rest = ((1 << len(adj)) - 1) & ~(1 << u)
-    pieces = []
-    while rest:
-        reach = frontier = rest & -rest
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
-            frontier = grow & rest & ~reach
-            reach |= frontier
-        pieces.append(reach)
-        rest &= ~reach
-    return pieces
 
 
 def _deletion_candidates(g: Graph) -> Iterator[int]:
@@ -200,7 +198,7 @@ def _deletion_candidates(g: Graph) -> Iterator[int]:
     k = g.n
     degree = [a.bit_count() for a in g.adj]
     by_degree = sorted(range(k), key=degree.__getitem__, reverse=True)
-    pieces = [_pieces_without(g.adj, u) for u in range(k)]
+    pieces = [component_masks(g.adj, g.vertex_mask() & ~(1 << u)) for u in range(k)]
     for subset in range(1, 1 << k):
         size = subset.bit_count()
         for u in by_degree:

@@ -2,9 +2,9 @@
 
 Vertices are dense integer ids ``0..n-1`` so adjacency can be kept in
 per-vertex bitmasks (plain Python ints), which is what the exact solver
-needs; :func:`blocks` returns vertex masks too.  Both :class:`Graph` and
-:class:`Digraph` are immutable after construction; every "mutation"
-builds a new value.
+needs; :func:`component_masks` and :func:`blocks` return vertex masks
+too.  Both :class:`Graph` and :class:`Digraph` are immutable after
+construction; every "mutation" builds a new value.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "bits",
     "is_acyclic",
     "acyclic_labeling",
+    "component_masks",
     "connected_components",
     "blocks",
     "parse_graph",
@@ -246,23 +247,29 @@ def acyclic_labeling(digraph: Digraph) -> tuple[int, ...]:
     return tuple(values)
 
 
+def component_masks(adj: tuple[int, ...], within: int) -> list[int]:
+    """The connected components of the subgraph induced on ``within``.
+
+    ``adj`` holds adjacency masks; the components come back as vertex
+    masks, ordered by their lowest vertex.
+    """
+    components = []
+    while within:
+        comp = frontier = within & -within
+        while frontier:
+            grow = 0
+            for v in bits(frontier):
+                grow |= adj[v]
+            frontier = grow & within & ~comp
+            comp |= frontier
+        components.append(comp)
+        within &= ~comp
+    return components
+
+
 def connected_components(graph: Graph) -> list[list[int]]:
     """Maximal connected vertex sets, ordered by their minimum member."""
-    unseen = graph.vertex_mask()
-    components = []
-    while unseen:
-        start = unseen & -unseen
-        frontier = start
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= graph.adj[v]
-            frontier = nxt & ~comp
-        components.append(sorted(bits(comp)))
-        unseen &= ~comp
-    return components
+    return [list(bits(comp)) for comp in component_masks(graph.adj, graph.vertex_mask())]
 
 
 def blocks(graph: Graph) -> list[int]:

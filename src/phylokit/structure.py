@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import HypothesisViolated, TooLarge, UnknownVertex
+from .generate import _least_leaf
 from .graphs import Edge, Graph, bits, connected_components
 
 __all__ = [
@@ -96,22 +97,11 @@ def census(graph: Graph) -> StructureReport:
                     diamonds.append((tuple(sorted((u, v, x, y))), (u, v)))
     diamonds.sort()
 
-    diamond_edge_sets = []
-    for (quad, (u, v)) in diamonds:
-        others = [w for w in quad if w not in (u, v)]
-        edges = {(u, v)}
-        for w in others:
-            edges.add(tuple(sorted((u, w))))
-            edges.add(tuple(sorted((v, w))))
-        diamond_edge_sets.append(edges)
-    disjoint = True
-    for i in range(len(diamond_edge_sets)):
-        for j in range(i + 1, len(diamond_edge_sets)):
-            if diamond_edge_sets[i] & diamond_edge_sets[j]:
-                disjoint = False
-                break
-        if not disjoint:
-            break
+    # a diamond's quad induces exactly its five edges
+    diamond_edges = [
+        (a, b) for quad, _ in diamonds for a, b in combinations(quad, 2) if graph.adj[a] >> b & 1
+    ]
+    disjoint = len(set(diamond_edges)) == len(diamond_edges)
 
     g_minus = graph.without_edges(triangle_edges(graph))
     comps = tuple(tuple(c) for c in connected_components(g_minus))
@@ -287,51 +277,16 @@ def edge_clique_cover_number(graph: Graph, cap: int = THETA_CAP_DEFAULT) -> int:
     return edge_clique_table(graph).cover_number()
 
 
-def _automorphism_exists(graph: Graph, image_of_zero: int) -> bool:
-    """Backtracking search for an automorphism sending vertex 0 to the image."""
-    n = graph.n
-    degree = [graph.degree(v) for v in range(n)]
-    if degree[0] != degree[image_of_zero]:
-        return False
-    mapping = [-1] * n
-    used = [False] * n
-
-    def assign(v: int, w: int) -> bool:
-        if degree[v] != degree[w]:
-            return False
-        for u in range(n):
-            if mapping[u] >= 0 and graph.has_edge(u, v) != graph.has_edge(mapping[u], w):
-                return False
-        return True
-
-    def backtrack(v: int) -> bool:
-        if v == n:
-            return True
-        if mapping[v] >= 0:
-            return backtrack(v + 1)
-        for w in range(n):
-            if used[w] or not assign(v, w):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if backtrack(v + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    mapping[0] = image_of_zero
-    used[image_of_zero] = True
-    return backtrack(1)
-
-
 def is_vertex_transitive(graph: Graph) -> bool:
     """Whether the automorphism group acts transitively on the vertices.
 
     Complete and edgeless graphs are answered outright: every vertex
-    permutation is an automorphism.  Otherwise brute force over
-    degree-compatible vertex maps; capped because this is only ever
-    applied to small decomposition parts.
+    permutation is an automorphism.  Otherwise vertex v is compared with
+    vertex 0 by the least code of the canonical search started from
+    ``[[v], rest]``: the codes agree iff an automorphism maps 0 to v.
+    Only regular graphs reach that search, which is exponential in the
+    worst case, hence the cap; this is only ever applied to small
+    decomposition parts.
     """
     if graph.m in (0, graph.n * (graph.n - 1) // 2):
         return True
@@ -340,7 +295,12 @@ def is_vertex_transitive(graph: Graph) -> bool:
     degs = {graph.degree(v) for v in range(graph.n)}
     if len(degs) > 1:
         return False
-    return all(_automorphism_exists(graph, v) for v in range(1, graph.n))
+
+    def rooted_code(v: int) -> list[int]:
+        return _least_leaf(graph.adj, [[v], [u for u in range(graph.n) if u != v]])[0]
+
+    code = rooted_code(0)
+    return all(rooted_code(v) == code for v in range(1, graph.n))
 
 
 def census_json(graph: Graph, theta_cap: int = THETA_CAP_DEFAULT) -> dict:

@@ -3,11 +3,13 @@
 import random
 from functools import lru_cache
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from phylokit import exact
 from phylokit.derived import check_nontriangle_edge_arcs, validate_phylogeny_digraph
-from phylokit.errors import Infeasible, TooLarge
+from phylokit.errors import BudgetExhausted, Infeasible, TooLarge
 from phylokit.exact import (
     _HeadSearch,
     competition_number_exact,
@@ -62,6 +64,14 @@ class TestSolverValues:
 
     def test_edgeless(self):
         assert phylogeny_number_exact(empty_graph(4)).value == 0
+
+    def test_deadline_checked_inside_a_pass(self, monkeypatch):
+        # the clock reads 0 once and then lies past the deadline, so the
+        # budget-0 pass on K3, which would succeed, stops at its second node
+        readings = iter([0.0])
+        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: next(readings, 10.0)))
+        with pytest.raises(BudgetExhausted):
+            phylogeny_number_exact(complete_graph(3), deadline=1.0)
 
 
 class TestOracle:

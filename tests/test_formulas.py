@@ -21,7 +21,7 @@ from phylokit.formulas import (
     reduce_graph,
 )
 from phylokit.derived import validate_phylogeny_digraph
-from phylokit.generate import connected_graphs_upto
+from phylokit.generate import connected_graphs_upto, graph6_decode
 from phylokit.graphs import (
     Digraph,
     Graph,
@@ -103,6 +103,14 @@ class TestFormulaDispatch:
         g = disjoint_union(cycle_graph(4), cycle_graph(5))
         res = formula_dispatch(g)
         assert res.value == 2 and res.method.startswith("components(")
+
+    def test_triangle_inside_one_component(self):
+        # clause (b) of the middle case: triangle 456 lies inside one
+        # component of the triangle-deleted graph; without it the value is 0
+        g = graph6_decode("G@@K^o")
+        res = formula_dispatch(g)
+        assert res.value == 1 and res.method == "formula:two-triangles-edge-disjoint"
+        assert phylogeny_number_exact(g, want_witness=False).value == 1
 
     def test_three_triangles_not_covered(self):
         assert formula_dispatch(figure_catalog("fig3_G2")).kind == "none"
@@ -441,6 +449,10 @@ class TestDifferenceFamily:
     def test_cap(self):
         with pytest.raises(TooLarge):
             difference_family(100)
+
+    def test_negative_parameter_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            difference_family(-1)
 
     def test_wrong_competition_number_caught_under_optimization(self):
         assert raises_under_optimization(

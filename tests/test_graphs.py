@@ -14,6 +14,7 @@ from phylokit.graphs import (
     bits,
     blocks,
     complete_graph,
+    component_masks,
     connected_components,
     cycle_graph,
     disjoint_union,
@@ -139,6 +140,12 @@ class TestComponents:
 
     def test_edgeless(self):
         assert connected_components(empty_graph(5)) == [[v] for v in range(5)]
+
+    def test_masks_within_a_vertex_subset(self):
+        # the path 0-1-2-3-4 without its middle vertex: the search stays
+        # inside the given vertices
+        assert component_masks(path_graph(5).adj, 0b11011) == [0b00011, 0b11000]
+        assert component_masks(path_graph(5).adj, 0) == []
 
     def test_sizes_sum_to_n(self):
         rng = random.Random(11)

@@ -1,9 +1,10 @@
 """Structural census: triangles, diamonds, cliques, covers, symmetry."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
+from conftest import labelled_graphs
 from phylokit import structure
 from phylokit.errors import TooLarge, UnknownVertex
 from phylokit.generate import connected_graphs_upto
@@ -13,6 +14,7 @@ from phylokit.graphs import (
     blocks,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     path_graph,
 )
 from phylokit.structure import (
@@ -204,6 +206,27 @@ class TestVertexTransitivity:
     def test_cap(self):
         with pytest.raises(TooLarge):
             is_vertex_transitive(cycle_graph(11))
+
+    def test_disconnected(self):
+        assert is_vertex_transitive(disjoint_union(cycle_graph(5), cycle_graph(5)))
+        assert not is_vertex_transitive(disjoint_union(cycle_graph(4), cycle_graph(6)))
+
+    def test_agrees_with_permutation_search(self):
+        def transitive_by_permutations(g):
+            images = set()
+            for perm in permutations(range(g.n)):
+                if all(g.adj[perm[u]] >> perm[v] & 1 for u, v in g.edges):
+                    images.add(perm[0])
+            return len(images) == g.n
+
+        def regular(g):
+            return len({g.degree(v) for v in range(g.n)}) == 1
+
+        labelled = [g for n in range(1, 7) for g in labelled_graphs(n) if regular(g)]
+        connected = [g for g in connected_graphs_upto(7) if regular(g)]
+        assert (len(labelled), len(connected)) == (199, 16)
+        for g in labelled + connected:
+            assert is_vertex_transitive(g) == transitive_by_permutations(g), sorted(g.edges)
 
 
 class TestBlocksFeatures:
