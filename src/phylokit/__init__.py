@@ -52,7 +52,6 @@ from .results import PhyloResult
 from .structure import (
     StructureReport,
     census,
-    component_of_gminus,
     edge_clique_cover_number,
     is_vertex_transitive,
     maximal_cliques,
@@ -91,7 +90,6 @@ __all__ = [
     "validate_phylogeny_digraph",
     "cared_edges",
     "census",
-    "component_of_gminus",
     "maximal_cliques",
     "edge_clique_cover_number",
     "is_vertex_transitive",

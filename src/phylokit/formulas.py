@@ -13,6 +13,7 @@ exact values.
 from __future__ import annotations
 
 from functools import partial
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .derived import Assembly, PhyloCertificate
@@ -32,8 +33,8 @@ from .graphs import (
     Graph,
     bits,
     blocks,
+    blocks_by_component,
     complete_graph,
-    component_masks,
     connected_components,
     grid_2xk,
 )
@@ -41,7 +42,6 @@ from .results import PhyloResult
 from .structure import (
     StructureReport,
     census,
-    component_of_gminus,
     edge_clique_cover_number,
     is_vertex_transitive,
     sandwich_census,
@@ -83,14 +83,12 @@ def _two_disjoint_triangles_special(report: StructureReport) -> bool:
     both triangles fills two slots, or (b) some component contains all
     three vertices of one triangle.
     """
-    comps = report.g_minus_components
-    t1, t2 = report.triangle_list
-    comp_id = report._component_index
-    for triangle in (t1, t2):
+    comp_id = report.g_minus_component_of
+    for triangle in report.triangle_list:
         if len({comp_id[v] for v in triangle}) == 1:
             return True
-    slots = [0] * len(comps)
-    for triangle in (t1, t2):
+    slots = [0] * len(report.g_minus_components)
+    for triangle in report.triangle_list:
         for v in triangle:
             slots[comp_id[v]] += 1
     return all(s == 2 for s in slots if s)
@@ -108,7 +106,7 @@ def _formula_connected(graph: Graph) -> tuple[int, str] | None:
     if report.t == 2 and report.d == 1:
         quad, shared = report.diamond_list[0]
         x, y = sorted(set(quad) - set(shared))
-        same_side = component_of_gminus(report, x) == component_of_gminus(report, y)
+        same_side = report.g_minus_component_of[x] == report.g_minus_component_of[y]
         if cc == 4 or (cc == 3 and same_side):
             value = m - n - 1
         else:
@@ -264,42 +262,50 @@ def reduce_graph(graph: Graph) -> tuple[list[Graph], list[dict]]:
     else the complete leaf block with the smallest edge.  A component left
     as one complete block or one vertex is dropped, since its value is
     zero; component values add up, so the graph's number is the sum over
-    kernels.
+    kernels.  Each shared vertex counts its remaining blocks, so a peel
+    looks only at the block it leaves alone there, in linear time overall.
 
     Returns (kernels, replayable log).
     """
     log: list[dict] = []
     kernels: list[Graph] = []
-    comps = component_masks(graph.adj, graph.vertex_mask())
-    if len(comps) != 1:
-        log.append({"op": "split-components", "components": [list(bits(c)) for c in comps]})
-    all_blocks = blocks(graph)  # sorted by smallest edge
-    for alive in comps:
-        remaining = [mask for mask in all_blocks if mask & alive]
-        while len(remaining) > 1:
-            seen = shared = 0  # shared: vertices in two or more remaining blocks
-            for mask in remaining:
-                shared |= seen & mask
-                seen |= mask
-            leaves = []
-            for mask in remaining:
-                cut = mask & shared  # never empty: the component is connected
-                if cut & (cut - 1) == 0 and graph.is_clique(mask):
-                    leaves.append((mask, cut))
-            peel = [leaf for leaf in leaves if leaf[0].bit_count() == 2] or leaves[:1]
-            if not peel:
-                break
-            for mask, cut in peel:
-                log.append(
-                    {
-                        "op": "delete-clique-leaf-block",
-                        "vertices": list(bits(mask ^ cut)),
-                        "cut_vertex": cut.bit_length() - 1,
-                        "block": list(bits(mask)),
-                    }
-                )
+    components = blocks_by_component(graph)
+    if len(components) != 1:
+        log.append({"op": "split-components", "components": [list(bits(c)) for c, _ in components]})
+    holders = [0] * graph.n  # remaining blocks holding each shared vertex
+    index_sum = [0] * graph.n  # their indices' sum: the last one's index once one is left
+    for alive, masks in components:  # masks sorted by smallest edge
+        seen = shared = 0  # shared: vertices in two or more remaining blocks
+        for mask in masks:
+            shared |= seen & mask
+            seen |= mask
+        leaves: list[tuple[bool, int, int]] = []  # complete leaves: (not K2, index, cut), a heap
+        for b, mask in enumerate(masks):
+            cut = mask & shared
+            if cut and cut & (cut - 1) == 0 and graph.is_clique(mask):
+                heappush(leaves, (mask.bit_count() > 2, b, cut))
+            for v in bits(cut):
+                holders[v] += 1
+                index_sum[v] += b
+        left = len(masks)
+        while left > 1 and leaves:
+            peel = [heappop(leaves)]  # every K2 leaf, or else the first larger one
+            while not peel[0][0] and leaves and not leaves[0][0]:
+                peel.append(heappop(leaves))
+            for _, b, cut in peel:
+                mask, v = masks[b], cut.bit_length() - 1
+                log.append({"op": "delete-clique-leaf-block", "vertices": list(bits(mask ^ cut)),
+                            "cut_vertex": v, "block": list(bits(mask))})
                 alive ^= mask ^ cut
-            remaining = [mask for mask in remaining if mask & ~alive == 0]
+                left -= 1
+                holders[v] -= 1
+                index_sum[v] -= b
+                if holders[v] == 1:  # the last block at v may have become a leaf
+                    shared ^= cut
+                    rest = index_sum[v]
+                    rest_cut = masks[rest] & shared
+                    if rest_cut and rest_cut & (rest_cut - 1) == 0 and graph.is_clique(masks[rest]):
+                        heappush(leaves, (masks[rest].bit_count() > 2, rest, rest_cut))
         if graph.is_clique(alive):
             log.append({"op": "drop-clique-component", "vertices": list(bits(alive))})
         else:

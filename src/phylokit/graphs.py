@@ -9,6 +9,7 @@ construction; every "mutation" builds a new value.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Iterable, Iterator
 
 from .errors import CyclicDigraph, ParseError, UnknownVertex
@@ -22,6 +23,7 @@ __all__ = [
     "component_masks",
     "connected_components",
     "blocks",
+    "blocks_by_component",
     "parse_graph",
     "parse_digraph",
     "format_graph",
@@ -207,19 +209,30 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.m})"
 
 
+def _reverse_kahn_labels(digraph: Digraph) -> list[int]:
+    """Kahn's algorithm on the reversed arcs, smallest-id ready vertex first.
+
+    Step k gives value k to the smallest-id vertex whose out-neighbors all
+    have values; a vertex on or behind a cycle keeps 0.
+    """
+    waiting = [out.bit_count() for out in digraph.out]
+    ready = [v for v in range(digraph.n) if waiting[v] == 0]  # sorted, so a heap
+    values = [0] * digraph.n
+    for value in range(1, digraph.n + 1):
+        if not ready:
+            break
+        v = heappop(ready)
+        values[v] = value
+        for u in bits(digraph.inn[v]):
+            waiting[u] -= 1
+            if waiting[u] == 0:
+                heappush(ready, u)
+    return values
+
+
 def is_acyclic(digraph: Digraph) -> bool:
     """True iff the digraph has no directed cycle."""
-    indeg = [digraph.inn[v].bit_count() for v in range(digraph.n)]
-    queue = [v for v in range(digraph.n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in bits(digraph.out[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == digraph.n
+    return all(_reverse_kahn_labels(digraph))
 
 
 def acyclic_labeling(digraph: Digraph) -> tuple[int, ...]:
@@ -230,20 +243,9 @@ def acyclic_labeling(digraph: Digraph) -> tuple[int, ...]:
     smallest-id vertex all of whose out-neighbors are already numbered.
     That tie-break makes the result unique, hence reproducible.
     """
-    n = digraph.n
-    values = [0] * n
-    remaining_out = list(digraph.out)
-    unnumbered = set(range(n))
-    for value in range(1, n + 1):
-        ready = [v for v in unnumbered if remaining_out[v] == 0]
-        if not ready:
-            raise CyclicDigraph("digraph has a directed cycle")
-        v = min(ready)
-        values[v] = value
-        unnumbered.remove(v)
-        gone = 1 << v
-        for u in unnumbered:
-            remaining_out[u] &= ~gone
+    values = _reverse_kahn_labels(digraph)
+    if not all(values):
+        raise CyclicDigraph("digraph has a directed cycle")
     return tuple(values)
 
 
@@ -272,26 +274,36 @@ def connected_components(graph: Graph) -> list[list[int]]:
     return [list(bits(comp)) for comp in component_masks(graph.adj, graph.vertex_mask())]
 
 
-def blocks(graph: Graph) -> list[int]:
-    """Biconnected decomposition: the blocks as vertex masks.
+def blocks_by_component(graph: Graph) -> list[tuple[int, list[int]]]:
+    """Each component's vertex mask with its blocks, as vertex masks.
 
     A block is a bridge or a maximal 2-connected subgraph; every edge lies
     in exactly one block, and an isolated vertex lies in none.  A cut
     vertex is a vertex in two or more masks.  One iterative Tarjan pass
-    with a vertex stack, so deep paths do not hit the recursion limit.
-    Blocks are sorted by their smallest edge: the mask's lowest vertex u,
-    then u's lowest neighbour inside the mask.
+    with a vertex stack, so deep paths do not hit the recursion limit;
+    its roots start the components, in order of their lowest vertex.  A
+    component's blocks are sorted by their smallest edge: the mask's
+    lowest vertex u, then u's lowest neighbour inside the mask.
     """
     adj = graph.adj
     unscanned = list(adj)
     discovery = [0] * graph.n  # 0: not visited yet
     low = [0] * graph.n
-    found: list[int] = []
+    components = []
     timer = 0
+
+    def smallest_edge(mask: int) -> tuple[int, int]:
+        # (1 << u, 1 << v) orders blocks as (u, v) would
+        u_bit = mask & -mask
+        inside = adj[u_bit.bit_length() - 1] & mask
+        return u_bit, inside & -inside
+
     for root in range(graph.n):
         if discovery[root]:
             continue
         discovery[root] = low[root] = timer = timer + 1
+        comp = 1 << root
+        found = []
         path = [root]
         open_vertices = [root]  # visited, block not closed yet
         while path:
@@ -303,6 +315,7 @@ def blocks(graph: Graph) -> list[int]:
                 w = w_bit.bit_length() - 1
                 if not discovery[w]:
                     discovery[w] = low[w] = timer = timer + 1
+                    comp |= w_bit
                     path.append(w)
                     open_vertices.append(w)
                 elif discovery[w] < low[v]:  # a back edge, or the tree edge up to v's parent
@@ -320,15 +333,15 @@ def blocks(graph: Graph) -> list[int]:
                 found.append(mask)
             elif low[v] < low[parent]:
                 low[parent] = low[v]
+        components.append((comp, sorted(found, key=smallest_edge)))
+    return components
 
-    def smallest_edge(mask: int) -> tuple[int, int]:
-        # (1 << u, 1 << v) orders blocks as (u, v) would
-        u_bit = mask & -mask
-        inside = adj[u_bit.bit_length() - 1] & mask
-        return u_bit, inside & -inside
 
-    found.sort(key=smallest_edge)
-    return found
+def blocks(graph: Graph) -> list[int]:
+    """Every block of :func:`blocks_by_component`, sorted by smallest edge."""
+    # blocks sharing their lowest vertex lie in one component, already in order
+    found = [mask for _, masks in blocks_by_component(graph) for mask in masks]
+    return sorted(found, key=lambda mask: mask & -mask)
 
 
 # ---------------------------------------------------------------------------

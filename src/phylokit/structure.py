@@ -8,19 +8,18 @@ on, the exact edge clique cover number and vertex transitivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import HypothesisViolated, TooLarge, UnknownVertex
+from .errors import HypothesisViolated, TooLarge
 from .generate import _least_leaf
-from .graphs import Edge, Graph, bits, connected_components
+from .graphs import Edge, Graph, bits, component_masks
 
 __all__ = [
     "StructureReport",
     "census",
     "sandwich_census",
-    "component_of_gminus",
     "triangle_edges",
     "maximal_cliques",
     "EdgeCliqueTable",
@@ -38,25 +37,27 @@ TRANSITIVITY_CAP = 10
 class StructureReport:
     """Census record for one graph.
 
-    ``g_minus`` is the input with every edge lying on a triangle deleted
-    (same vertex set); ``g_minus_components`` partitions all vertices,
-    singletons included.  A diamond is a 4-set inducing exactly five
-    edges, recorded together with the edge its two triangles share.
-    Diamond counting is of induced diamonds; under K4-freeness (where the
-    bound machinery applies) induced and subgraph counts coincide, and
-    ``has_k4`` flags when they might not.
+    ``connected`` holds iff the input has exactly one component, so the
+    empty graph is not connected.  ``g_minus`` is the input with every
+    edge lying on a triangle deleted (same vertex set);
+    ``g_minus_components`` partitions all vertices, singletons included,
+    and v's component there is ``g_minus_component_of[v]``.  A diamond is
+    a 4-set inducing exactly five edges, recorded together with the edge
+    its two triangles share.  Diamond counting is of induced diamonds;
+    under K4-freeness (where the bound machinery applies) induced and
+    subgraph counts coincide, and ``has_k4`` flags when they might not.
     """
 
-    graph: Graph
     t: int
     triangle_list: tuple[tuple[int, int, int], ...]
     d: int
     diamond_list: tuple[tuple[tuple[int, int, int, int], Edge], ...]
     has_k4: bool
     diamonds_edge_disjoint: bool
+    connected: bool
     g_minus: Graph
     g_minus_components: tuple[tuple[int, ...], ...]
-    _component_index: dict[int, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
+    g_minus_component_of: tuple[int, ...]
 
 
 def triangle_edges(graph: Graph) -> set[Edge]:
@@ -75,23 +76,22 @@ def census(graph: Graph) -> StructureReport:
     Memoised for the last graph only: each pipeline asks for one graph
     several times in a row, while a memo per graph would keep a report
     alive for every graph a caller holds, as the sweep does.
-    """
-    triangles = []
-    for u, v in graph.sorted_edges():
-        both = graph.adj[u] & graph.adj[v]
-        for w in bits(both):
-            if w > v:
-                triangles.append((u, v, w))
-    triangles.sort()
 
+    One pass over the sorted edges finds triangles, diamonds and K4s in
+    each edge's common neighbours; a triangle at its smallest edge, so the
+    list comes out sorted.
+    """
+    adj = graph.adj
+    triangles = []
     diamonds = []
     has_k4 = False
     for u, v in graph.sorted_edges():
-        common = graph.adj[u] & graph.adj[v]
-        shared = sorted(bits(common))
+        shared = list(bits(adj[u] & adj[v]))
         for i, x in enumerate(shared):
+            if x > v:
+                triangles.append((u, v, x))
             for y in shared[i + 1:]:
-                if graph.has_edge(x, y):
+                if adj[x] >> y & 1:
                     has_k4 = True
                 else:
                     diamonds.append((tuple(sorted((u, v, x, y))), (u, v)))
@@ -99,27 +99,24 @@ def census(graph: Graph) -> StructureReport:
 
     # a diamond's quad induces exactly its five edges
     diamond_edges = [
-        (a, b) for quad, _ in diamonds for a, b in combinations(quad, 2) if graph.adj[a] >> b & 1
+        (a, b) for quad, _ in diamonds for a, b in combinations(quad, 2) if adj[a] >> b & 1
     ]
     disjoint = len(set(diamond_edges)) == len(diamond_edges)
 
     g_minus = graph.without_edges(triangle_edges(graph))
-    comps = tuple(tuple(c) for c in connected_components(g_minus))
-    index = {}
-    for k, comp in enumerate(comps):
-        for v in comp:
-            index[v] = k
+    comps = tuple(tuple(bits(c)) for c in component_masks(g_minus.adj, g_minus.vertex_mask()))
+    component_of = {v: k for k, comp in enumerate(comps) for v in comp}
     return StructureReport(
-        graph=graph,
         t=len(triangles),
         triangle_list=tuple(triangles),
         d=len(diamonds),
         diamond_list=tuple(diamonds),
         has_k4=has_k4,
         diamonds_edge_disjoint=disjoint,
+        connected=len(component_masks(adj, graph.vertex_mask())) == 1,
         g_minus=g_minus,
         g_minus_components=comps,
-        _component_index=index,
+        g_minus_component_of=tuple(component_of[v] for v in range(graph.n)),
     )
 
 
@@ -130,20 +127,13 @@ def sandwich_census(graph: Graph) -> StructureReport:
     K4-free with pairwise edge-disjoint diamonds.
     """
     report = census(graph)
-    if len(connected_components(graph)) != 1:
+    if not report.connected:
         raise HypothesisViolated("graph must be connected")
     if report.has_k4:
         raise HypothesisViolated("graph contains a K4")
     if not report.diamonds_edge_disjoint:
         raise HypothesisViolated("two diamonds share an edge")
     return report
-
-
-def component_of_gminus(report: StructureReport, v: int) -> tuple[int, ...]:
-    """The component of the triangle-edge-deleted graph containing ``v``."""
-    if v not in report._component_index:
-        raise UnknownVertex(f"vertex {v} not in 0..{report.graph.n - 1}")
-    return report.g_minus_components[report._component_index[v]]
 
 
 def maximal_cliques(graph: Graph) -> list[tuple[int, ...]]:
@@ -290,11 +280,10 @@ def is_vertex_transitive(graph: Graph) -> bool:
     """
     if graph.m in (0, graph.n * (graph.n - 1) // 2):
         return True
+    if len({graph.degree(v) for v in range(graph.n)}) > 1:
+        return False
     if graph.n > TRANSITIVITY_CAP:
         raise TooLarge(f"vertex transitivity check capped at {TRANSITIVITY_CAP} vertices (got {graph.n})")
-    degs = {graph.degree(v) for v in range(graph.n)}
-    if len(degs) > 1:
-        return False
 
     def rooted_code(v: int) -> list[int]:
         return _least_leaf(graph.adj, [[v], [u for u in range(graph.n) if u != v]])[0]

@@ -297,10 +297,6 @@ def _cared_extra(asm: Assembly, a: int, b: int) -> int:
     return j
 
 
-def _edge_on_triangle(graph: Graph, u: int, v: int) -> bool:
-    return bool(graph.adj[u] & graph.adj[v])
-
-
 def _build_upper(graph: Graph, order: Sequence[int], asm: Assembly, steps: list[dict]) -> None:
     """Recursive proof-following construction; ids in ``asm`` are original."""
     report = sandwich_census(graph)
@@ -323,7 +319,7 @@ def _build_upper(graph: Graph, order: Sequence[int], asm: Assembly, steps: list[
         deleted = [tuple(sorted((x, z))), tuple(sorted((y, z))), tuple(sorted((w, z)))]
         g_star = graph.without_edges(deleted)
         _check(
-            not _edge_on_triangle(g_star, x, y) and not _edge_on_triangle(g_star, x, w),
+            not g_star.adj[x] & (g_star.adj[y] | g_star.adj[w]),
             "a rim edge at x still lies on a triangle",
         )
         ox, oy, oz, ow = order[x], order[y], order[z], order[w]
@@ -349,14 +345,10 @@ def _build_upper(graph: Graph, order: Sequence[int], asm: Assembly, steps: list[
             _repair_diamond(asm, steps, ox, oy, oz, ow, new_vertex_allowed=True)
         return
 
-    # no diamond, at least one triangle: delete the smallest triangle edge
-    for u, v in graph.sorted_edges():
-        common = graph.adj[u] & graph.adj[v]
-        if common:
-            third = list(bits(common))
-            _check(len(third) == 1, "edge on two triangles in a diamond-free graph")
-            w = third[0]
-            break
+    # no diamond, at least one triangle: delete the smallest triangle edge,
+    # the first two vertices of the first triangle
+    u, v, w = report.triangle_list[0]
+    _check(graph.adj[u] & graph.adj[v] == 1 << w, "edge on two triangles in a diamond-free graph")
     g_one = graph.without_edges([(u, v)])
     ou, ov, ow = order[u], order[v], order[w]
     _record(asm, steps, op="remove-triangle-edge", edge=[ou, ov], triangle=sorted((ou, ov, ow)))

@@ -83,3 +83,40 @@ def naive_connected_graphs(n: int) -> list[Graph]:
                 bigger.setdefault(graph6_encode(candidate), candidate)
         level = [bigger[key] for key in sorted(bigger)]
     return level
+
+
+GLUED_BLOCKS = {
+    "K2": (2, [(0, 1)]),
+    "K3": (3, [(0, 1), (0, 2), (1, 2)]),
+    "K4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "C4": (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "C5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "diamond": (4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+}
+
+
+def glued_block_graphs(count: int, seed: int) -> list[Graph]:
+    """Random graphs built from small blocks, each glued at a vertex so far.
+
+    Up to eight blocks from ``GLUED_BLOCKS``, then sometimes a separate
+    path as a second component, with the vertices relabelled at random:
+    long chains of leaf blocks of mixed sizes, which few labelled graphs
+    of six or seven vertices have.
+    """
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n, edges = 1, []
+        for _ in range(rng.randint(1, 8)):
+            size, local = GLUED_BLOCKS[rng.choice(sorted(GLUED_BLOCKS))]
+            ids = [rng.randrange(n)] + list(range(n, n + size - 1))
+            edges += [(ids[a], ids[b]) for a, b in local]
+            n += size - 1
+        if rng.random() < 0.25:
+            extra = rng.randint(1, 3)
+            edges += [(v, v + 1) for v in range(n, n + extra - 1)]
+            n += extra
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(Graph(n, [(perm[a], perm[b]) for a, b in edges]))
+    return graphs

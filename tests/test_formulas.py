@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from conftest import labelled_graphs
+from conftest import glued_block_graphs, labelled_graphs
 from phylokit.errors import ConditionViolated, HypothesisViolated, NotTriangleFree, TooLarge
 from phylokit.exact import phylogeny_number_exact
 from phylokit.formulas import (
@@ -25,7 +27,10 @@ from phylokit.generate import connected_graphs_upto, graph6_decode
 from phylokit.graphs import (
     Digraph,
     Graph,
+    bits,
+    blocks,
     complete_graph,
+    connected_components,
     cycle_graph,
     disjoint_union,
     path_graph,
@@ -44,6 +49,41 @@ def paw():
 
 def prism():
     return Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
+
+
+def naive_reduce(g):
+    """The reduction's round rule, replayed over every remaining block each round."""
+    log, kernels = [], []
+    comps = connected_components(g)
+    if len(comps) != 1:
+        log.append({"op": "split-components", "components": comps})
+    for comp in comps:
+        alive = set(comp)
+        remaining = [set(bits(mask)) for mask in blocks(g) if set(bits(mask)) <= alive]
+        while len(remaining) > 1:
+            holders = Counter(v for block in remaining for v in block)
+            leaves = []
+            for block in remaining:  # in order of smallest edge
+                cuts = [v for v in block if holders[v] > 1]
+                if len(cuts) == 1 and all(g.has_edge(a, b) for a, b in combinations(block, 2)):
+                    leaves.append((block, cuts[0]))
+            peel = [leaf for leaf in leaves if len(leaf[0]) == 2] or leaves[:1]
+            if not peel:
+                break
+            for block, cut in peel:
+                rest = sorted(block - {cut})
+                log.append({"op": "delete-clique-leaf-block", "vertices": rest, "cut_vertex": cut,
+                            "block": sorted(block)})
+                alive -= set(rest)
+            remaining = [block for block in remaining if block <= alive]
+        left = sorted(alive)
+        if all(g.has_edge(a, b) for a, b in combinations(left, 2)):
+            log.append({"op": "drop-clique-component", "vertices": left})
+        else:
+            sub, to_orig = g.induced_subgraph(left)
+            log.append({"op": "kernel", "index": len(kernels), "vertices": to_orig})
+            kernels.append(sub)
+    return kernels, log
 
 
 def raises_under_optimization(code):
@@ -264,6 +304,33 @@ class TestReductions:
         _, log = reduce_graph(path_graph(3))
         assert log == [self.leaf([0, 1], 1), self.leaf([1, 2], 1), self.drop([1])]
 
+    def test_long_path_peels_in_linear_time(self):
+        # 9,999 rounds of two K2 leaves each; quadratic bookkeeping takes a minute here
+        kernels, log = reduce_graph(path_graph(20000))
+        assert kernels == [] and len(log) == 19999
+        assert log[-2] == self.leaf([10000, 10001], 10000)
+        assert log[-1] == self.drop([9999, 10000])
+
+    def test_large_star_peels_in_one_round(self):
+        kernels, log = reduce_graph(star_graph(5000))
+        assert kernels == [] and len(log) == 5001
+        assert log[0] == self.leaf([0, 1], 0) and log[-2] == self.leaf([0, 5000], 0)
+        assert log[-1] == self.drop([0])
+
+    def test_windmill_peels_one_triangle_per_round(self):
+        # 2,000 triangles at vertex 0: one complete leaf per round, smallest edge first
+        g = Graph(4001, [e for i in range(1, 4001, 2) for e in ((0, i), (0, i + 1), (i, i + 1))])
+        kernels, log = reduce_graph(g)
+        assert kernels == [] and len(log) == 2000
+        assert log[0] == self.leaf([0, 1, 2], 0) and log[-2] == self.leaf([0, 3997, 3998], 0)
+        assert log[-1] == self.drop([0, 3999, 4000])
+
+    def test_matches_the_round_rule_replayed_naively(self):
+        graphs = [g for n in range(1, 6) for g in labelled_graphs(n)]
+        graphs += list(connected_graphs_upto(7)) + glued_block_graphs(300, seed=5)
+        for g in graphs:
+            assert reduce_graph(g) == naive_reduce(g)
+
     def test_bowtie_peels_the_leaf_with_the_smallest_edge(self):
         g = Graph(5, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
         kernels, log = reduce_graph(g)
@@ -283,7 +350,7 @@ class TestReductions:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(formulas, "blocks", count("blocks", formulas.blocks))
+        monkeypatch.setattr(formulas, "blocks_by_component", count("blocks", formulas.blocks_by_component))
         monkeypatch.setattr(Graph, "induced_subgraph", count("induced", Graph.induced_subgraph))
         # a path, the paw and fig4_G1: several peel rounds, one kernel
         g = disjoint_union(path_graph(5), paw(), figure_catalog("fig4_G1"))

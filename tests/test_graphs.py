@@ -13,6 +13,7 @@ from phylokit.graphs import (
     acyclic_labeling,
     bits,
     blocks,
+    blocks_by_component,
     complete_graph,
     component_masks,
     connected_components,
@@ -224,6 +225,14 @@ class TestBlocks:
                 if len(connected_components(g.induced_subgraph(set(range(g.n)) - {v})[0])) > parts
             }
             assert set(bits(shared)) == raises
+
+    def test_by_component_splits_the_sorted_blocks(self):
+        graphs = [g for n in range(1, 6) for g in labelled_graphs(n)] + [Graph(0), path_graph(1500)]
+        for g in graphs:
+            pairs = blocks_by_component(g)
+            assert [comp for comp, _ in pairs] == component_masks(g.adj, g.vertex_mask())
+            for comp, masks in pairs:
+                assert masks == [mask for mask in blocks(g) if mask & comp]
 
     def test_deep_path_needs_no_recursion(self):
         masks = blocks(path_graph(1500))

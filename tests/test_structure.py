@@ -6,20 +6,20 @@ import pytest
 
 from conftest import labelled_graphs
 from phylokit import structure
-from phylokit.errors import TooLarge, UnknownVertex
+from phylokit.errors import TooLarge
 from phylokit.generate import connected_graphs_upto
 from phylokit.graphs import (
     Graph,
     bits,
     blocks,
     complete_graph,
+    connected_components,
     cycle_graph,
     disjoint_union,
     path_graph,
 )
 from phylokit.structure import (
     census,
-    component_of_gminus,
     edge_clique_cover_number,
     is_vertex_transitive,
     maximal_cliques,
@@ -123,19 +123,42 @@ class TestCensus:
 class TestComponentLookup:
     def test_diamond_isolates(self):
         rep = census(diamond())
-        assert component_of_gminus(rep, 3) == (3,)
+        assert rep.g_minus_component_of == (0, 1, 2, 3)
+        assert rep.g_minus_components[rep.g_minus_component_of[3]] == (3,)
 
     def test_cycle_whole(self):
         rep = census(cycle_graph(5))
-        assert component_of_gminus(rep, 2) == (0, 1, 2, 3, 4)
+        assert rep.g_minus_component_of == (0, 0, 0, 0, 0)
+        assert rep.g_minus_components[rep.g_minus_component_of[2]] == (0, 1, 2, 3, 4)
 
     def test_paw_pendant_component(self):
         rep = census(paw())
-        assert component_of_gminus(rep, 3) == (2, 3)
+        assert rep.g_minus_component_of == (0, 1, 2, 2)
+        assert rep.g_minus_components[rep.g_minus_component_of[3]] == (2, 3)
 
-    def test_unknown_vertex(self):
-        with pytest.raises(UnknownVertex):
-            component_of_gminus(census(paw()), 9)
+    def test_every_vertex_in_its_component(self):
+        for g in connected_graphs_upto(6):
+            rep = census(g)
+            for v in range(g.n):
+                assert v in rep.g_minus_components[rep.g_minus_component_of[v]]
+
+
+class TestConnected:
+    def test_connected_graph(self):
+        assert census(paw()).connected
+
+    def test_disconnected_graph(self):
+        assert not census(disjoint_union(diamond(), paw())).connected
+
+    def test_no_vertex_is_not_connected(self):
+        assert not census(Graph(0)).connected
+
+    def test_one_vertex_is_connected(self):
+        assert census(Graph(1)).connected
+
+    def test_matches_components(self):
+        for g in labelled_graphs(5):
+            assert census(g).connected == (len(connected_components(g)) == 1)
 
 
 class TestMaximalCliques:
@@ -206,6 +229,10 @@ class TestVertexTransitivity:
     def test_cap(self):
         with pytest.raises(TooLarge):
             is_vertex_transitive(cycle_graph(11))
+
+    def test_irregular_past_the_cap(self):
+        # a degree count answers without the capped search
+        assert not is_vertex_transitive(path_graph(11))
 
     def test_disconnected(self):
         assert is_vertex_transitive(disjoint_union(cycle_graph(5), cycle_graph(5)))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -163,6 +164,20 @@ class TestUpperConstruction:
             if len(rep.g_minus_components) == 2 * rep.t - rep.d + 1:
                 exact = phylogeny_number_exact(g, want_witness=False).value
                 assert cert.extra_count == exact
+
+    def test_ring_of_triangles_in_well_under_a_second(self):
+        # 200 triangles, each joined to the next by an edge: the construction
+        # repairs one triangle per level, and a quadratic labeling per repair
+        # made this take several seconds
+        k = 200
+        g = Graph(3 * k, [
+            e for i in range(k)
+            for e in ((3 * i, 3 * i + 1), (3 * i, 3 * i + 2), (3 * i + 1, 3 * i + 2), (3 * i + 2, (3 * i + 3) % (3 * k)))
+        ])
+        started = time.process_time()
+        cert = construct_k4free_upper(g).certificate
+        assert time.process_time() - started < 1.5
+        assert cert.extra_count <= g.m - g.n - census(g).t + 1 == 1
 
     @pytest.mark.parametrize("k", [4, 8])
     def test_diamond_necklace_meets_the_upper_end(self, k):

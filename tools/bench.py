@@ -12,7 +12,10 @@ stored verbatim.  The workloads default to every workload named in
 ``BENCHMARK.json``.  ``--parent`` names a second checkout, usually of
 the parent commit; each pair then runs both checkouts back to back,
 parent first in the first pair, change first in the second and so on,
-so a drift of the host does not favour either side.  Runs are appended
+so a drift of the host does not favour either side.  Every run gets a
+fresh, empty ``PYTHONPYCACHEPREFIX``, so ``setup_s`` (which re-imports
+phylokit) compares code, not whichever bytecode caches a checkout
+happens to hold.  Runs are appended
 to the file, so several invocations (other seeds, other workloads)
 build up one record.  ``summary`` holds, per workload and side, the median of every
 end-to-end metric over that side's runs.  Stdlib only.
@@ -22,9 +25,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,17 +50,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
     A run that finds a wrong value exits 1 with ``"correct": false``; it
     is recorded like any other, and its side gets no metrics from it.
+    The run compiles phylokit into an empty bytecode cache of its own.
     """
-    proc = subprocess.run(
-        [
-            sys.executable, "perfbench/run.py",
-            "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace),
-        ],
-        cwd=checkout,
-        capture_output=True,
-        text=True,
-    )
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run(
+            [
+                sys.executable, "perfbench/run.py",
+                "--workload", workload, "--seed", str(seed),
+                "--seconds", str(seconds), "--trace", str(trace),
+            ],
+            cwd=checkout,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPYCACHEPREFIX": cache},
+        )
     lines = proc.stdout.splitlines()
     if proc.returncode not in (0, 1) or len(lines) < 2:
         raise SystemExit(
