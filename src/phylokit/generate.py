@@ -117,43 +117,87 @@ def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     return (adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u))
 
 
-def _least_leaf(adj: tuple[int, ...], partition: list[list[int]]) -> tuple[list[int], tuple[int, ...]]:
-    """The least (code, order) leaf of the search from an ordered partition.
+def _least_leaf(
+    adj: tuple[int, ...], partition: list[list[int]], automorphisms: bool = False
+) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """The least leaf of the search from an ordered partition: (code, order, generators).
 
-    Refinement is equivariant and a twin skip drops only a subtree
-    isomorphic to one already searched, so an automorphism that maps
-    one start partition onto another leaves the least code unchanged.
+    ``code`` is the relabelled adjacency read column by column, as the
+    graph6 bit string of the relabelled graph, so equal codes mean equal
+    relabelled graphs; on ties the first leaf found wins.  Refinement is
+    equivariant and a twin skip drops only a subtree isomorphic to one
+    already searched, so an automorphism that maps one start partition
+    onto another leaves the least code unchanged.
+
+    With ``automorphisms``, ``generators`` lists permutations (``perm[v]``
+    is the image of v) that generate the automorphism group of the graph
+    when the search starts from the unit partition: the transposition of
+    each skipped twin with the twin searched in its place, and the map
+    from each leaf onto the first leaf with the same code.  Every subtree
+    a twin skip drops is the image of a searched one under its
+    transposition, so every leaf of the unpruned tree is the image of a
+    searched leaf under the group these generate; an automorphism maps
+    the first leaf onto a leaf with its code, and the leaf-to-leaf maps
+    close that gap.  Otherwise ``generators`` is empty, since collecting
+    them slows the search.
     """
     n = len(adj)
+    best_code = -1
+    best_order: list[int] = []
+    generators: dict[tuple[int, ...], None] = {}  # insertion-ordered set
+    first_leaf: dict[int, list[int]] = {}
 
-    def code_of(order: list[int]) -> list[int]:
-        code = []
-        for j in range(1, n):
-            oj = order[j]
-            for i in range(j):
-                code.append(1 if (adj[order[i]] >> oj) & 1 else 0)
-        return code
-
-    def search(partition: list[list[int]]) -> tuple[list[int], tuple[int, ...]]:
-        """The least (code, order) leaf below ``partition``, the first on ties."""
+    def search(partition: list[list[int]]) -> None:
+        nonlocal best_code, best_order
         partition = _refine(adj, partition)
         target = next((i for i, cell in enumerate(partition) if len(cell) > 1), None)
         if target is None:
             order = [cell[0] for cell in partition]
-            return code_of(order), tuple(order)
+            code = 0
+            for j in range(1, n):
+                row = adj[order[j]]
+                for i in range(j):
+                    code = code << 1 | (row >> order[i] & 1)
+            if best_code < 0 or code < best_code:
+                best_code, best_order = code, order
+            if automorphisms:
+                first = first_leaf.setdefault(code, order)
+                if first is not order:
+                    perm = [0] * n
+                    for v, w in zip(order, first):
+                        perm[v] = w
+                    generators[tuple(perm)] = None
+            return
         cell = partition[target]
         tried: list[int] = []
-        leaves = []
         for v in cell:
-            if any(_twins(adj, u, v) for u in tried):
+            twin = next((u for u in tried if _twins(adj, u, v)), None)
+            if twin is not None:
+                if automorphisms:
+                    perm = list(range(n))
+                    perm[twin], perm[v] = v, twin
+                    generators[tuple(perm)] = None
                 continue
             tried.append(v)
             rest = [u for u in cell if u != v]
-            leaves.append(search(partition[:target] + [[v], rest] + partition[target + 1:]))
-        # the first vertex of the cell is always tried, so there is a leaf
-        return min(leaves, key=lambda leaf: leaf[0])
+            search(partition[:target] + [[v], rest] + partition[target + 1:])
 
-    return search(partition)
+    # the first vertex of every cell is searched, so a leaf is always found
+    search(partition)
+    return best_code, tuple(best_order), list(generators)
+
+
+def _orbit(start: int, maps: list) -> list[int]:
+    """The orbit of ``start`` under maps given as image tables (``table[x]`` is x's image)."""
+    orbit = [start]
+    seen = {start}
+    for x in orbit:
+        for table in maps:
+            y = table[x]
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
 
 
 @lru_cache(maxsize=1)
@@ -187,19 +231,33 @@ def canonical_graph6(graph: Graph) -> str:
     return graph6_encode(canonical_graph(graph))
 
 
-def _deletion_candidates(g: Graph) -> Iterator[int]:
-    """The subsets S whose extension of ``g`` may delete back canonically.
+def _deletion_candidates(g: Graph, generators: list[tuple[int, ...]]) -> Iterator[int]:
+    """One subset S per Aut(g)-orbit whose extension of ``g`` may delete back canonically.
 
     The extension joins a new vertex k to S.  It is skipped when some
     vertex u of ``g`` has a higher degree than k after the join and is
     not a cut vertex of the extension.  That holds when every component
-    of g - u meets S, since k then joins them.
+    of g - u meets S, since k then joins them.  An automorphism of g
+    maps S's extension onto an isomorphic one and keeps this test's
+    answer, so only the least subset of each orbit is tested and
+    yielded; ``generators`` generate Aut(g).
     """
     k = g.n
     degree = [a.bit_count() for a in g.adj]
     by_degree = sorted(range(k), key=degree.__getitem__, reverse=True)
     pieces = [component_masks(g.adj, g.vertex_mask() & ~(1 << u)) for u in range(k)]
+    images = []  # one subset image table per generator
+    for perm in generators:
+        table = [0]
+        for v in range(k):
+            image = 1 << perm[v]
+            table += [t | image for t in table]
+        images.append(table)
+    seen = set()
     for subset in range(1, 1 << k):
+        if subset in seen:
+            continue
+        seen.update(_orbit(subset, images))
         size = subset.bit_count()
         for u in by_degree:
             if degree[u] < size:  # neither u nor any later vertex outranks k
@@ -220,14 +278,20 @@ def _levels(n: int) -> Iterator[list[Graph]]:
     level = [Graph(1)]
     yield level
     for k in range(1, n):
-        bigger: dict[str, Graph] = {}
+        bigger: dict[int, Graph] = {}
         for g in level:
-            base_edges = list(g.edges)
-            for subset in _deletion_candidates(g):
-                edges = base_edges + [(v, k) for v in bits(subset)]
-                candidate = canonical_graph(Graph(k + 1, edges))
-                bigger.setdefault(graph6_encode(candidate), candidate)
-        level = [bigger[key] for key in sorted(bigger)]
+            generators = _least_leaf(g.adj, [list(range(k))], automorphisms=True)[2]
+            for subset in _deletion_candidates(g, generators):
+                adj = list(g.adj)
+                for v in bits(subset):
+                    adj[v] |= 1 << k
+                adj.append(subset)
+                code, order, _ = _least_leaf(tuple(adj), [list(range(k + 1))])
+                if code not in bigger:
+                    # canonical_graph(extension), edge iteration order included
+                    extension = Graph(k + 1, [*g.edges, *((v, k) for v in bits(subset))])
+                    bigger[code] = _relabel(extension, order)
+        level = [bigger[code] for code in sorted(bigger)]
         yield level
 
 
@@ -245,8 +309,10 @@ def connected_graphs(n: int) -> list[Graph]:
     vertices has a non-cut vertex; let w be one of highest degree.
     H - w is connected, so isomorphic to a graph g of level k.  Mapping
     H - w onto g and w to k gives an extension of g isomorphic to H whose
-    vertex k passes the test.  Ties and automorphic subsets still give
-    duplicates, which the dedupe by canonical form removes.
+    vertex k passes the test.  Of the subsets that pass, only one per
+    orbit of Aut(g) is extended, since the others give isomorphic graphs.
+    Ties between parents still give duplicates, which the dedupe by
+    canonical code removes.
     """
     last: list[Graph] = []
     for last in _levels(n):

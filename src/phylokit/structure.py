@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import HypothesisViolated, TooLarge
-from .generate import _least_leaf
+from .generate import _least_leaf, _orbit
 from .graphs import Edge, Graph, bits, component_masks
 
 __all__ = [
@@ -271,11 +271,11 @@ def is_vertex_transitive(graph: Graph) -> bool:
     """Whether the automorphism group acts transitively on the vertices.
 
     Complete and edgeless graphs are answered outright: every vertex
-    permutation is an automorphism.  Otherwise vertex v is compared with
-    vertex 0 by the least code of the canonical search started from
-    ``[[v], rest]``: the codes agree iff an automorphism maps 0 to v.
-    Only regular graphs reach that search, which is exponential in the
-    worst case, hence the cap; this is only ever applied to small
+    permutation is an automorphism.  Otherwise one canonical search from
+    the unit partition returns generators of the automorphism group, and
+    the graph is transitive iff vertex 0's orbit under them is every
+    vertex.  Only regular graphs reach that search, which is exponential
+    in the worst case, hence the cap; this is only ever applied to small
     decomposition parts.
     """
     if graph.m in (0, graph.n * (graph.n - 1) // 2):
@@ -284,12 +284,8 @@ def is_vertex_transitive(graph: Graph) -> bool:
         return False
     if graph.n > TRANSITIVITY_CAP:
         raise TooLarge(f"vertex transitivity check capped at {TRANSITIVITY_CAP} vertices (got {graph.n})")
-
-    def rooted_code(v: int) -> list[int]:
-        return _least_leaf(graph.adj, [[v], [u for u in range(graph.n) if u != v]])[0]
-
-    code = rooted_code(0)
-    return all(rooted_code(v) == code for v in range(1, graph.n))
+    generators = _least_leaf(graph.adj, [list(range(graph.n))], automorphisms=True)[2]
+    return len(_orbit(0, generators)) == graph.n
 
 
 def census_json(graph: Graph, theta_cap: int = THETA_CAP_DEFAULT) -> dict:

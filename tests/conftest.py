@@ -2,9 +2,32 @@
 
 import random
 
+import pytest
+
 from phylokit.derived import phylogeny_graph
 from phylokit.generate import canonical_graph, graph6_encode
 from phylokit.graphs import Digraph, Graph, bits
+
+
+@pytest.fixture
+def labellings(monkeypatch):
+    """A list that gains one entry per canonical search the generator runs.
+
+    Counts the calls of ``generate._least_leaf`` made through the
+    module's own binding, which is how ``connected_graphs`` labels its
+    parents and their extensions.
+    """
+    import phylokit.generate as generate
+
+    calls = []
+    original = generate._least_leaf
+
+    def counted(adj, *args, **kwargs):
+        calls.append(len(adj))
+        return original(adj, *args, **kwargs)
+
+    monkeypatch.setattr(generate, "_least_leaf", counted)
+    return calls
 
 
 def random_certificate(rng: random.Random, max_base: int = 7, max_extra: int = 3):

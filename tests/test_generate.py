@@ -6,6 +6,8 @@ import pytest
 
 from phylokit.errors import ParseError, TooLarge
 from phylokit.generate import (
+    _least_leaf,
+    _orbit,
     canonical_graph,
     canonical_graph6,
     connected_graphs,
@@ -14,23 +16,49 @@ from phylokit.generate import (
     graph6_encode,
 )
 from phylokit.graphs import Graph, complete_graph, cycle_graph
-from conftest import naive_connected_graphs
+from conftest import labelled_graphs, naive_connected_graphs
 
 
-@pytest.fixture
-def canonical_calls(monkeypatch):
-    """A list that gains one entry per ``generate.canonical_graph`` call."""
-    import phylokit.generate as generate
+def brute_force_automorphisms(adj):
+    """Every automorphism, by mapping vertices 0, 1, ... in turn to every consistent image."""
+    n = len(adj)
+    found = []
+    image = [0] * n
 
-    calls = []
-    original = generate.canonical_graph
+    def extend(v, used):
+        if v == n:
+            found.append(tuple(image))
+            return
+        for w in range(n):
+            if used >> w & 1 or adj[w].bit_count() != adj[v].bit_count():
+                continue
+            if all((adj[v] >> u & 1) == (adj[w] >> image[u] & 1) for u in range(v)):
+                image[v] = w
+                extend(v + 1, used | 1 << w)
 
-    def counted(graph):
-        calls.append(graph.n)
-        return original(graph)
+    extend(0, 0)
+    return found
 
-    monkeypatch.setattr(generate, "canonical_graph", counted)
-    return calls
+
+def closure(n, generators):
+    """The group the permutations generate, closing under composition one generator at a time."""
+    group = {tuple(range(n))}
+    kept = []
+    for gen in generators:
+        if gen in group:
+            continue
+        kept.append(gen)
+        frontier = list(group)
+        while frontier:
+            new = []
+            for p in frontier:
+                for s in kept:
+                    q = tuple(p[x] for x in s)
+                    if q not in group:
+                        group.add(q)
+                        new.append(q)
+            frontier = new
+    return group
 
 
 class TestGraph6:
@@ -73,6 +101,35 @@ class TestCanonicalForm:
         assert canonical_graph6(complete_graph(8)) == graph6_encode(complete_graph(8))
 
 
+class TestAutomorphisms:
+    @staticmethod
+    def check(g):
+        generators = _least_leaf(g.adj, [list(range(g.n))], automorphisms=True)[2]
+        for perm in generators:
+            assert all(g.adj[perm[u]] >> perm[v] & 1 for u, v in g.edges), perm
+        brute = brute_force_automorphisms(g.adj)
+        assert len(closure(g.n, generators)) == len(brute), sorted(g.edges)
+        for v in range(g.n):
+            assert sorted(_orbit(v, generators)) == sorted({a[v] for a in brute})
+        return len(brute)
+
+    def test_small_graphs_match_brute_force(self):
+        graphs = list(connected_graphs_upto(7)) + [g for n in range(1, 6) for g in labelled_graphs(n)]
+        assert len(graphs) == 996 + 1099
+        for g in graphs:
+            self.check(g)
+
+    def test_symmetric_graphs(self):
+        cube = Graph(8, [(v, v ^ 1 << b) for v in range(8) for b in range(3) if v < v ^ 1 << b])
+        petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                         + [(i, 5 + i) for i in range(5)])
+        assert [self.check(g) for g in (complete_graph(8), cube, petersen)] == [40320, 48, 120]
+
+    def test_plain_labelling_collects_none(self):
+        assert _least_leaf(cycle_graph(6).adj, [list(range(6))])[2] == []
+
+
 class TestGeneration:
     def test_published_counts(self):
         assert [len(connected_graphs(n)) for n in range(1, 8)] == [
@@ -91,17 +148,19 @@ class TestGeneration:
         mine = [graph6_encode(g) for g in connected_graphs(n)]
         assert mine == [graph6_encode(g) for g in naive_connected_graphs(n)]
 
-    def test_canonicalises_few_extensions(self, canonical_calls):
-        # 7,815 extensions are canonicalised without the canonical-deletion test
+    def test_canonicalises_few_extensions(self, labellings):
+        # 7,815 extensions are labelled without the canonical-deletion
+        # test and 2,173 with it; one extension per orbit takes 1,467
+        # labellings, the 143 parents' included
         assert len(connected_graphs(7)) == 853
-        assert len(canonical_calls) <= 3000
+        assert len(labellings) <= 1500
 
-    def test_upto_builds_each_level_once(self, canonical_calls):
+    def test_upto_builds_each_level_once(self, labellings):
         upto = list(connected_graphs_upto(6))
-        upto_calls = len(canonical_calls)
-        canonical_calls.clear()
+        upto_calls = len(labellings)
+        labellings.clear()
         assert len(connected_graphs(6)) == 112
-        assert upto_calls == len(canonical_calls)
+        assert upto_calls == len(labellings) > 0
         assert upto == [g for n in range(1, 7) for g in connected_graphs(n)]
 
     def test_cap(self):

@@ -12,7 +12,7 @@ from conftest import labelled_graphs
 from phylokit.cli import main
 from phylokit.exact import phylogeny_number_exact
 from phylokit.formulas import phylogeny_number_auto
-from phylokit.generate import connected_graphs_upto, graph6_encode
+from phylokit.generate import connected_graphs, connected_graphs_upto, graph6_encode
 
 SWEEP_N6_DIGEST = "61c9c1388099a5f98bf5b84d4da6f9e641592662c52adbce6bd5edd9d7cf54ee"
 # A kernel whose value the sandwich's upper end gives exactly takes its
@@ -24,6 +24,7 @@ AUTO_WITNESS_N6_DIGEST = "f15af1d5c301edb5e5f7b416d28d6c218094942facb17f98c7828a
 AUTO_WITNESS_LABELLED_N5_DIGEST = "eca79b85fb8485aa7031b5e2a3efc329f2da8b78e57b47448ef63a9fc062cf63"
 AUTO_VALUE_N6_DIGEST = "4a6b3aa5c5dd0e120c45bfc899f62c1e16bf10d537f4fbd28e3d06b030c44438"
 SOLVER_WITNESS_N6_DIGEST = "d3a03c37f3376e70221e0f589bed9c2eba1ddb90f85fb05223eab422a219f226"
+CONNECTED_N8_DIGEST = "9c399dc9ca82ca18c2f0d8ccf4268ccaa2dacd7d301c21f4364d37e0b727ad6f"
 
 
 def _digest(lines):
@@ -73,3 +74,12 @@ def test_solver_witnesses_n6_are_pinned():
         lines.append(json.dumps([graph6_encode(g), arcs]))
     assert len(lines) == 143
     assert _digest(lines) == SOLVER_WITNESS_N6_DIGEST
+
+
+def test_connected_n8_is_pinned(labellings):
+    # graph6 lines in output order; the same run bounds the labellings,
+    # 18,764 with one extension per orbit (26,497 extensions before)
+    lines = [graph6_encode(g) for g in connected_graphs(8)]
+    assert len(lines) == 11117
+    assert _digest(lines) == CONNECTED_N8_DIGEST
+    assert len(labellings) <= 19000
