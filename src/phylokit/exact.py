@@ -13,25 +13,35 @@ certificate form a DAG, so some vertex still without out-arcs ends as a
 sink, and a sink's edges lie only in cliques through it (the extras'
 and, for the phylogeny number, its own closed in-set).  A node where no
 such vertex can cover its uncovered edges with the extras left is cut.
-Only subtrees without a solution are cut, so the first success in
-depth-first order, and every value and witness, stay as without the
-bound.  At the root it is a weak form of Opsut's bound
-k(G) >= min_v theta(N(v)).
+At the root it is a weak form of Opsut's bound k(G) >= min_v theta(N(v)).
+Acyclicity is tested in constant time: every vertex keeps the mask of
+the vertices it reaches along arcs, so a head h may take a new tail a
+iff h does not reach a yet.
 
 Both exact solvers search the canonical relabelling of their input
 (:func:`generate.canonical_labeling`), so the branch order refers to
 canonical ids and isomorphic inputs run the identical search.  A
 canonically labelled input, such as every generator graph, is searched
-as given.
+as given.  The same labelling yields generators of the automorphism
+group, carried onto the searched graph, and the search prunes by them:
+a node keeps the generators that fix every move on its path (they fix
+its in-sets and extras), and once a move has failed, a later sibling in
+its orbit under them is skipped, since an automorphism maps the failed
+subtree onto the sibling's and feasibility is invariant under it.
+
+Both prunings cut only subtrees without a solution, so the first
+success in depth-first order, and every value and witness, stay as
+without them.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Sequence
 
 from .derived import Assembly
 from .errors import BudgetExhausted, CrossCheckFailed, Infeasible, TooLarge
-from .generate import _relabel, canonical_labeling
+from .generate import _labelling, _relabel
 from .graphs import Graph, bits, connected_components
 from .results import PhyloResult
 from .structure import edge_clique_table, triangle_edges
@@ -66,66 +76,79 @@ class _HeadSearch:
     nothing: the head is a third vertex, adjacent or not, and stays
     outside the clique.
 
-    Every node first applies the sink bound (:meth:`_some_sink_fits`).
-    Some base vertex v is a sink of the finished certificate, and since
-    arcs only accumulate down a branch, v has no out-arc at this node.
-    Each uncovered edge at v then lies in a fresh extra's clique through
-    v or, when the head joins its clique, in v's own closed in-set
-    (``slack`` = 1).  Uncovered neighbours of v that are pairwise
-    non-adjacent need distinct cliques, so when a greedy count of them
-    exceeds the extras left plus ``slack`` for every such v, no
-    completion exists and the node is cut.  Only subtrees without a
-    solution are cut, so the first success is the one found without the
-    bound.
+    Acyclicity is kept with reach masks: ``desc[v]`` is the set of
+    vertices reachable from v along arcs.  A head move closes a cycle
+    iff h already reaches one of its new tails, and adding the arcs
+    a -> h extends the mask of every vertex reaching a tail by h and all
+    h reaches.
+
+    Every node first applies the sink bound.  Some base vertex v is a
+    sink of the finished certificate, and since arcs only accumulate
+    down a branch, v has no out-arc (``desc[v]`` is empty) at this
+    node.  Each uncovered edge at v then lies in a fresh extra's clique
+    through v or, when the head joins its clique, in v's own closed
+    in-set (``slack`` = 1).  A vertex with no more uncovered edges than
+    the extras left plus ``slack`` passes at once.  Otherwise uncovered
+    neighbours of v that are pairwise non-adjacent need distinct
+    cliques, so when a greedy count of them exceeds that for every such
+    v, no completion exists and the node is cut.
+
+    ``symmetries`` are automorphisms of the graph (``perm[v]`` is the
+    image of v), usually generators of its group.  Each node carries
+    those that fix every move on its path: a head move (h, add) when
+    they fix h and map add onto itself, an extra when they map its
+    clique onto itself.  They then fix the node's in-sets and extras.
+    When a move fails, its orbit under them is recorded and a later
+    sibling in that orbit is skipped: the automorphism mapping the
+    failed move onto it maps the failed child state onto the sibling's,
+    and feasibility within the budget is invariant under automorphisms.
+
+    Both prunings skip only subtrees without a solution, so the first
+    success in depth-first order, and every value and witness, are those
+    of the unpruned search.
     """
 
-    def __init__(self, graph: Graph, head_joins: bool):
+    def __init__(self, graph: Graph, head_joins: bool, symmetries: Sequence[Sequence[int]] = ()):
         self.graph = graph
-        self.n = graph.n
+        self.n = n = graph.n
         self.table = table = edge_clique_table(graph)
-        self.all_covered = table.full
-        self.pairs_mask = table.pairs_mask
-        self.cliques_on = table.cliques_on
         adj = graph.adj
+        outside = graph.vertex_mask()
         # per edge: (head, head bit, tails to add, head bit if it joins the
-        # clique, the tails together with every vertex adjacent to all of them)
-        self.head_moves: list[list[tuple[int, int, int, int, int]]] = []
+        # clique, the tails together with every vertex adjacent to all of
+        # them, the move's orbit key: the tails plus the head bit shifted
+        # past n)
+        self.head_moves: list[list[tuple[int, int, int, int, int, int]]] = []
         for u, v in table.edges:
-            euv = (1 << u) | (1 << v)
-            if head_joins:
-                heads = euv | (adj[u] & adj[v])
-            else:
-                heads = graph.vertex_mask() & ~euv
+            bu, bv = 1 << u, 1 << v
+            euv = bu | bv
+            both = euv | (adj[u] & adj[v])
             moves = []
-            for h in bits(heads):
-                add = euv & ~(1 << h)
-                common = graph.vertex_mask()
-                for a in bits(add):
-                    common &= adj[a]
-                moves.append((h, 1 << h, add, (1 << h) if head_joins else 0, add | common))
+            for h in bits(both if head_joins else outside & ~euv):
+                hb = 1 << h
+                if h == u:
+                    add, fits = bv, bv | adj[v]
+                elif h == v:
+                    add, fits = bu, bu | adj[u]
+                else:
+                    add, fits = euv, both
+                moves.append((h, hb, add, hb if head_joins else 0, fits, add | hb << n))
             self.head_moves.append(moves)
-        # for the sink bound: per vertex, its edges as (edge bit, other end),
-        # and the clique a sink's own closed in-set adds when heads join
-        self.incident: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        # for the sink bound: per vertex, its edges as (edge bit, other end)
+        # and their mask
+        self.incident = incident = [[] for _ in range(n)]
+        self.incident_mask = incident_mask = [0] * n
         for i, (u, v) in enumerate(table.edges):
-            self.incident[u].append((1 << i, v))
-            self.incident[v].append((1 << i, u))
+            eb = 1 << i
+            incident[u].append((eb, v))
+            incident[v].append((eb, u))
+            incident_mask[u] |= eb
+            incident_mask[v] |= eb
         self.slack = 1 if head_joins else 0
-
-    def reaches(self, start: int, targets: int) -> bool:
-        """True iff some target vertex is reachable from start along arcs."""
-        out_mask = self.out_mask
-        seen = 0
-        frontier = out_mask[start]
-        while frontier:
-            if frontier & targets:
-                return True
-            seen |= frontier
-            nxt = 0
-            for a in bits(frontier):
-                nxt |= out_mask[a]
-            frontier = nxt & ~seen
-        return False
+        # each symmetry acts on vertex masks and, through the copy shifted
+        # past n, on the head bits of the move keys; it is kept with the
+        # mask of the points it moves, as a mask outside that is fixed
+        self.symmetries = tuple(_on_keys(perm, n) for perm in symmetries)
 
     def deepen(self, start: int, max_extras: int | None = None, deadline: float | None = None) -> int:
         """The least budget from ``start`` on at which the search succeeds.
@@ -147,87 +170,146 @@ class _HeadSearch:
                 raise CrossCheckFailed("deepening exceeded the trivial upper bound")
 
     def run(self, budget: int) -> bool:
-        # the search state is the assembly of the certificate it finds
-        self.assembly = Assembly(self.n)
-        self.in_mask = self.assembly.in_set
-        self.extras = self.assembly.extras
-        self.out_mask = [0] * self.n
-        self.budget = budget
-        return self._dfs(0)
-
-    def _dfs(self, covered: int) -> bool:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExhausted("time budget exhausted before the search finished")
-        if covered == self.all_covered:
-            return True
-        remaining = self.all_covered & ~covered
-        if not self._some_sink_fits(remaining):
-            return False
-        ei = (remaining & -remaining).bit_length() - 1
-        in_mask = self.in_mask
-        out_mask = self.out_mask
-        for h, hb, add, own, fits in self.head_moves[ei]:
-            saved = in_mask[h]
-            new_tails = add & ~saved
-            # saved | own is a clique already and add is one vertex or one
-            # edge, so the union is a clique iff saved | own lies in fits
-            if (saved | own) & ~fits:
-                continue
-            if self.reaches(h, new_tails):
-                continue
-            closed = saved | add | own
-            in_mask[h] = saved | add
-            for a in bits(new_tails):
-                out_mask[a] |= hb
-            if self._dfs(covered | self.pairs_mask(closed)):
-                return True
-            in_mask[h] = saved
-            for a in bits(new_tails):
-                out_mask[a] &= ~hb
-        if len(self.extras) < self.budget:
-            for vertex_mask, edge_mask in self.cliques_on[ei]:
-                self.extras.append(vertex_mask)
-                if self._dfs(covered | edge_mask):
-                    return True
-                self.extras.pop()
-        return False
-
-    def _some_sink_fits(self, remaining: int) -> bool:
-        """False when no vertex without out-arcs can end as a sink.
-
-        The greedy count of a vertex's uncovered, pairwise non-adjacent
-        neighbours must fit in the extras left plus ``slack``.
-        """
-        spare = self.budget - len(self.extras) + self.slack
+        """One depth-first pass at ``budget``; its state is ``self.assembly``."""
+        n = self.n
         adj = self.graph.adj
-        out_mask = self.out_mask
-        for v in range(self.n):
-            if out_mask[v]:
-                continue
-            picked = 0
-            count = 0
-            for eb, w in self.incident[v]:
-                if remaining & eb and not adj[w] & picked:
-                    picked |= 1 << w
-                    count += 1
-                    if count > spare:
-                        break
-            else:
+        all_covered = self.table.full
+        pairs_mask = self.table.pairs_mask
+        cliques_on = self.table.cliques_on
+        head_moves = self.head_moves
+        incident = self.incident
+        incident_mask = self.incident_mask
+        slack = self.slack
+        deadline = self.deadline
+        monotonic = time.monotonic
+        self.assembly = Assembly(n)
+        in_mask = self.assembly.in_set
+        extras = self.assembly.extras
+        vertex_bit = [1 << v for v in range(n)]
+
+        def some_sink_fits(remaining: int, desc: list[int]) -> bool:
+            spare = budget - len(extras) + slack
+            for v in range(n):
+                if desc[v]:
+                    continue
+                if (remaining & incident_mask[v]).bit_count() <= spare:
+                    return True
+                picked = 0
+                count = 0
+                for eb, w in incident[v]:
+                    if remaining & eb and not adj[w] & picked:
+                        picked |= 1 << w
+                        count += 1
+                        if count > spare:
+                            break
+                else:
+                    return True
+            return False
+
+        def dfs(covered: int, desc: list[int], perms: tuple, last: int) -> bool:
+            # perms fix every move on the path above this node, and last is
+            # the key of the move that led here (0, fixed by all, at the root)
+            if deadline is not None and monotonic() > deadline:
+                raise BudgetExhausted("time budget exhausted before the search finished")
+            if covered == all_covered:
                 return True
-        return False
+            remaining = all_covered & ~covered
+            if not some_sink_fits(remaining, desc):
+                return False
+            if perms:
+                perms = tuple(pm for pm in perms if not last & pm[1] or _image(pm[0], last) == last)
+            ei = (remaining & -remaining).bit_length() - 1
+            failed: set[int] = set()  # the orbits of failed moves' keys
+            for h, hb, add, own, fits, key in head_moves[ei]:
+                saved = in_mask[h]
+                # saved | own is a clique already and add is one vertex or one
+                # edge, so the union is a clique iff saved | own lies in fits
+                if (saved | own) & ~fits:
+                    continue
+                new_tails = add & ~saved
+                reach = desc[h]
+                if reach & new_tails or key in failed:
+                    continue
+                # every vertex at or above a new tail now reaches h and below
+                gain = hb | reach
+                saved_desc = desc[:]
+                for x in range(n):
+                    if (desc[x] | vertex_bit[x]) & new_tails:
+                        desc[x] |= gain
+                in_mask[h] = saved | add
+                if dfs(covered | pairs_mask(saved | add | own), desc, perms, key):
+                    return True
+                in_mask[h] = saved
+                desc[:] = saved_desc
+                if perms:
+                    failed |= _orbit_of(key, perms)
+            if len(extras) < budget:
+                for clique, edge_mask in cliques_on[ei]:
+                    if clique in failed:
+                        continue
+                    extras.append(clique)
+                    if dfs(covered | edge_mask, desc, perms, clique):
+                        return True
+                    extras.pop()
+                    if perms:
+                        failed |= _orbit_of(clique, perms)
+            return False
+
+        return dfs(0, [0] * n, self.symmetries, 0)
 
 
-def _canonical_form(graph: Graph) -> tuple[Graph, tuple[int, ...] | None]:
-    """The graph the solvers search, and the order that maps it back.
+def _image(perm: Sequence[int], mask: int) -> int:
+    """The image of a mask under a permutation, bit by bit."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _on_keys(perm: Sequence[int], n: int) -> tuple[tuple[int, ...], int]:
+    """A vertex permutation acting on move keys, and the key bits it moves."""
+    doubled = (*perm, *(n + w for w in perm))
+    moved = 0
+    for x, y in enumerate(doubled):
+        if x != y:
+            moved |= 1 << x
+    return doubled, moved
+
+
+def _orbit_of(key: int, perms: tuple[tuple[tuple[int, ...], int], ...]) -> set[int]:
+    """The orbit of a key under the group the permutations generate."""
+    seen = {key}
+    stack = [key]
+    while stack:
+        x = stack.pop()
+        for perm, moved in perms:
+            if x & moved:
+                y = _image(perm, x)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return seen
+
+
+def _canonical_form(graph: Graph) -> tuple[Graph, tuple[int, ...] | None, list[tuple[int, ...]]]:
+    """The graph the solvers search, the order that maps it back, and its symmetries.
 
     That is the canonical relabelling of ``graph``, whose vertex ``i`` is
     ``order[i]`` of ``graph``, or ``graph`` itself and ``None`` when its
-    canonical order is the identity.
+    canonical order is the identity.  The symmetries are the generators
+    of Aut(``graph``) found by the same labelling, carried onto the
+    searched graph: vertex ``i`` goes where ``order[i]`` goes.
     """
-    order = canonical_labeling(graph)
+    order, generators = _labelling(graph)
     if order == tuple(range(graph.n)):
-        return graph, None
-    return _relabel(graph, order), order
+        return graph, None, list(generators)
+    position = [0] * graph.n
+    for new, old in enumerate(order):
+        position[old] = new
+    symmetries = [tuple(position[perm[old]] for old in order) for perm in generators]
+    return _relabel(graph, order), order, symmetries
 
 
 def phylogeny_number_exact(
@@ -249,8 +331,8 @@ def phylogeny_number_exact(
     """
     if graph.n > cap:
         raise TooLarge(f"exact solver capped at {cap} vertices (got {graph.n})")
-    searched, order = _canonical_form(graph)
-    search = _HeadSearch(searched, head_joins=True)
+    searched, order, symmetries = _canonical_form(graph)
+    search = _HeadSearch(searched, head_joins=True, symmetries=symmetries)
     value = search.deepen(0, max_extras, deadline)
     assembly = search.assembly if order is None else search.assembly.relabelled(order)
     witness = assembly.certificate(graph)
@@ -426,7 +508,8 @@ def competition_number_exact(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> int
     connected = len(connected_components(graph)) == 1
     if connected and not triangle_edges(graph):
         return graph.m - graph.n + 2
-    search = _HeadSearch(_canonical_form(graph)[0], head_joins=False)
+    searched, _, symmetries = _canonical_form(graph)
+    search = _HeadSearch(searched, head_joins=False, symmetries=symmetries)
     start = max(0, search.table.cover_number() - graph.n + 2)
     if connected and graph.n >= 2:
         start = max(start, 1)

@@ -85,14 +85,25 @@ def graph6_decode(line: str) -> Graph:
 # only, which is all the sweeps need.
 
 
-def _refine(adj: tuple[int, ...], partition: list[list[int]]) -> list[list[int]]:
-    stable = False
-    while not stable:
-        stable = True
-        for splitter_index in range(len(partition)):
+def _refine(adj: tuple[int, ...], partition: list[list[int]], inert: set[int]) -> list[list[int]]:
+    """The equitable refinement of an ordered partition.
+
+    Repeatedly splits every cell by the neighbour count in the first
+    cell, as a vertex mask, that splits anything, and stops when no cell
+    does or the partition is discrete.  ``inert`` holds masks already
+    shown to split nothing; it is read and extended here.  A mask that
+    splits no cell of a partition splits no cell of any refinement of
+    it, so skipping those masks, here and in every search below this
+    one, yields the same partition.
+    """
+    n = len(adj)
+    while len(partition) < n:
+        for splitter in partition:
             splitter_mask = 0
-            for v in partition[splitter_index]:
+            for v in splitter:
                 splitter_mask |= 1 << v
+            if splitter_mask in inert:
+                continue
             new_partition: list[list[int]] = []
             split_here = False
             for cell in partition:
@@ -108,8 +119,10 @@ def _refine(adj: tuple[int, ...], partition: list[list[int]]) -> list[list[int]]
                     new_partition.append(groups[key])
             if split_here:
                 partition = new_partition
-                stable = False
                 break
+            inert.add(splitter_mask)
+        else:
+            break
     return partition
 
 
@@ -147,9 +160,9 @@ def _least_leaf(
     generators: dict[tuple[int, ...], None] = {}  # insertion-ordered set
     first_leaf: dict[int, list[int]] = {}
 
-    def search(partition: list[list[int]]) -> None:
+    def search(partition: list[list[int]], inert: set[int]) -> None:
         nonlocal best_code, best_order
-        partition = _refine(adj, partition)
+        partition = _refine(adj, partition, inert)
         target = next((i for i, cell in enumerate(partition) if len(cell) > 1), None)
         if target is None:
             order = [cell[0] for cell in partition]
@@ -180,10 +193,10 @@ def _least_leaf(
                 continue
             tried.append(v)
             rest = [u for u in cell if u != v]
-            search(partition[:target] + [[v], rest] + partition[target + 1:])
+            search(partition[:target] + [[v], rest] + partition[target + 1:], set(inert))
 
     # the first vertex of every cell is searched, so a leaf is always found
-    search(partition)
+    search(partition, set())
     return best_code, tuple(best_order), list(generators)
 
 
@@ -201,18 +214,28 @@ def _orbit(start: int, maps: list) -> list[int]:
 
 
 @lru_cache(maxsize=1)
+def _labelling(graph: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The canonical order of ``graph`` and generators of its automorphism group.
+
+    One canonical search from the unit partition (see :func:`_least_leaf`).
+    Memoised for the last graph only, like ``structure.census``: the
+    sweep names a graph and then solves it, and the name needs the order
+    while the solver needs both.
+    """
+    if graph.n == 0:
+        return (), ()
+    _, order, generators = _least_leaf(graph.adj, [list(range(graph.n))], automorphisms=True)
+    return order, tuple(generators)
+
+
 def canonical_labeling(graph: Graph) -> tuple[int, ...]:
     """A vertex order whose relabelled adjacency code is minimal.
 
     Returns ``order`` with ``order[i]`` = original vertex placed at i.
     Deterministic, so equal codes mean isomorphic graphs and vice versa
-    within the generator's size range.  Memoised for the last graph
-    only, like ``structure.census``: the sweep names a graph and then
-    solves it, and both ask for its labelling.
+    within the generator's size range.
     """
-    if graph.n == 0:
-        return ()
-    return _least_leaf(graph.adj, [list(range(graph.n))])[1]
+    return _labelling(graph)[0]
 
 
 def _relabel(graph: Graph, order: tuple[int, ...]) -> Graph:

@@ -16,7 +16,7 @@ from phylokit.exact import (
     oracle_phylogeny_number,
     phylogeny_number_exact,
 )
-from phylokit.generate import canonical_graph6, connected_graphs, connected_graphs_upto
+from phylokit.generate import canonical_graph6, connected_graphs, connected_graphs_upto, graph6_decode
 from phylokit.graphs import (
     Graph,
     complete_graph,
@@ -215,6 +215,13 @@ class TestCompetitionOracle:
         for g in connected_graphs(6):
             assert competition_number_exact(g) == roberts_competition_number(g), g
 
+    @pytest.mark.parametrize("line, value", [("F?~vw", 4), ("F@v~o", 3), ("F?~vg", 4), ("FFz~o", 3)])
+    def test_costly_seven_vertex_graphs(self, line, value):
+        # among the costliest competition searches at n = 7; all but F@v~o have |Aut| = 48
+        g = graph6_decode(line)
+        assert roberts_competition_number(g) == value
+        assert competition_number_exact(g) == value
+
 
 class TestLabelIndependence:
     """Both solvers search the canonical relabelling of their input."""
@@ -232,3 +239,61 @@ class TestLabelIndependence:
             assert cert.extra_count == res.value
             validate_phylogeny_digraph(cert.digraph, cert.base, h)
             assert competition_number_exact(h) == competition_number_exact(g)
+
+
+def competition_start(g: Graph, search: _HeadSearch) -> int:
+    """The budget ``competition_number_exact`` deepens from, for a connected g."""
+    return max(1, search.table.cover_number() - g.n + 2)
+
+
+class TestOrbitPruning:
+    """The head search pruned by automorphisms against the unpruned one."""
+
+    @staticmethod
+    def pair(g: Graph, head_joins: bool) -> tuple[_HeadSearch, _HeadSearch]:
+        searched, _, symmetries = exact._canonical_form(g)
+        return (
+            _HeadSearch(searched, head_joins, symmetries=()),
+            _HeadSearch(searched, head_joins, symmetries=symmetries),
+        )
+
+    @pytest.mark.parametrize("head_joins", [True, False], ids=["phylogeny", "competition"])
+    def test_same_value_and_assembly(self, head_joins):
+        for g in connected_graphs_upto(7):
+            if g.m == 0:
+                continue
+            plain, pruned = self.pair(g, head_joins)
+            start = 0 if head_joins else competition_start(g, plain)
+            assert plain.deepen(start) == pruned.deepen(start), g
+            assert plain.assembly.in_set == pruned.assembly.in_set, g
+            assert plain.assembly.extras == pruned.assembly.extras, g
+
+    def test_pruning_visits_fewer_nodes(self, monkeypatch):
+        # with a deadline set, the search reads the clock once per node
+        readings = []
+
+        def clock():
+            readings.append(None)
+            return 0.0
+
+        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=clock))
+        g = graph6_decode("F?~vw")
+        nodes = []
+        for search in self.pair(g, head_joins=False):
+            readings.clear()
+            assert search.deepen(competition_start(g, search), deadline=1e9) == 4
+            nodes.append(len(readings))
+        plain, pruned = nodes
+        assert pruned < plain
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_symmetries_are_automorphisms_of_the_searched_graph(self, seed):
+        rng = random.Random(seed)
+        for g in connected_graphs_upto(6):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            searched, _, symmetries = exact._canonical_form(h)
+            for sym in symmetries:
+                assert sorted(sym) == list(range(g.n))
+                assert all(searched.has_edge(sym[u], sym[v]) for u, v in searched.edges), (h, sym)

@@ -3,7 +3,8 @@
 These push the module invariants one size past the acceptance scope:
 the generator against its naive reference and the published count,
 sandwich, cover identity and upper-construction budget at 8 vertices,
-and the exhaustive labeling/acyclicity equivalence at 5 vertices.
+the exhaustive labeling/acyclicity equivalence at 5 vertices, and the
+competition solver against Roberts' characterization at 7 vertices.
 """
 
 import os
@@ -13,12 +14,13 @@ import pytest
 from conftest import all_digraph_arc_sets, naive_connected_graphs
 from phylokit.derived import validate_phylogeny_digraph
 from phylokit.errors import CyclicDigraph
-from phylokit.exact import phylogeny_number_exact
+from phylokit.exact import competition_number_exact, phylogeny_number_exact
 from phylokit.generate import connected_graphs, graph6_encode
 from phylokit.graphs import Digraph, acyclic_labeling, is_acyclic
-from phylokit.structure import census, edge_clique_cover_number
+from phylokit.structure import census, edge_clique_cover_number, triangle_edges
 from phylokit.sweep import in_k4free_diamond_scope
 from phylokit.witness import construct_k4free_upper, replay_trace
+from test_exact import roberts_competition_number
 
 slow = pytest.mark.skipif(
     not os.environ.get("PHYLOKIT_SLOW_TESTS"),
@@ -86,3 +88,15 @@ def test_oracle_agreement_at_seven_vertices_up_to_twelve_edges():
             assert exact > 3
         checked += 1
     assert checked == 614
+
+
+@slow
+def test_competition_oracle_at_seven_vertices_with_a_triangle():
+    # triangle-free connected graphs take the closed form, so these are
+    # the graphs the competition search runs on
+    checked = 0
+    for g in connected_graphs(7):
+        if triangle_edges(g):
+            assert competition_number_exact(g) == roberts_competition_number(g), g
+            checked += 1
+    assert checked == 794

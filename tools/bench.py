@@ -18,7 +18,11 @@ phylokit) compares code, not whichever bytecode caches a checkout
 happens to hold.  Runs are appended
 to the file, so several invocations (other seeds, other workloads)
 build up one record.  ``summary`` holds, per workload and side, the median of every
-end-to-end metric over that side's runs.  Stdlib only.
+end-to-end metric over that side's runs.  When both sides ran a workload it
+also holds ``change_vs_parent``: per metric, the change's median relative to
+the parent's (``relative``, 0.05 meaning 5 % higher) and whether it moved
+past its ``BENCHMARK.json`` bound in the metric's worse direction
+(``past_bound``).  Stdlib only.
 """
 
 from __future__ import annotations
@@ -72,24 +76,40 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return {"exit": proc.returncode, "info": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+def compare(change: dict, parent: dict) -> dict:
+    """Per metric, the change's median relative to the parent's, and whether it is past its bound."""
+    out = {}
+    for metric in BENCHMARK["end_to_end"]:
+        name = metric["name"]
+        if name not in change or name not in parent or parent[name] == 0:
+            continue
+        relative = change[name] / parent[name] - 1
+        worse = relative if metric["better"] == "lower" else -relative
+        out[name] = {"relative": relative, "past_bound": worse > metric["bound"]}
+    return out
+
+
 def summarise(runs: list[dict]) -> dict:
     metrics = [m["name"] for m in BENCHMARK["end_to_end"]]
-    summary: dict = {}
+    values: dict = {}
     for run in runs:
         if run["trace"]:
             continue
-        side = summary.setdefault(run["workload"], {}).setdefault(run["side"], {})
+        side = values.setdefault(run["workload"], {}).setdefault(run["side"], {})
         for name in metrics:
             metric = run["result"]["metrics"].get(name)
             if metric is not None:
                 side.setdefault(name, []).append(metric["value"])
-    return {
-        workload: {
-            side: {name: statistics.median(values) for name, values in by_metric.items()}
+    summary = {}
+    for workload, by_side in values.items():
+        medians = {
+            side: {name: statistics.median(samples) for name, samples in by_metric.items()}
             for side, by_metric in by_side.items()
         }
-        for workload, by_side in summary.items()
-    }
+        if "change" in medians and "parent" in medians:
+            medians["change_vs_parent"] = compare(medians["change"], medians["parent"])
+        summary[workload] = medians
+    return summary
 
 
 def main(argv: list[str] | None = None) -> int:
