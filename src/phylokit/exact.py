@@ -113,7 +113,7 @@ class _HeadSearch:
         self.n = n = graph.n
         self.table = table = edge_clique_table(graph)
         adj = graph.adj
-        outside = graph.vertex_mask()
+        vertices = graph.vertex_mask()
         # per edge: (head, head bit, tails to add, head bit if it joins the
         # clique, the tails together with every vertex adjacent to all of
         # them, the move's orbit key: the tails plus the head bit shifted
@@ -124,7 +124,7 @@ class _HeadSearch:
             euv = bu | bv
             both = euv | (adj[u] & adj[v])
             moves = []
-            for h in bits(both if head_joins else outside & ~euv):
+            for h in bits(both if head_joins else vertices & ~euv):
                 hb = 1 << h
                 if h == u:
                     add, fits = bv, bv | adj[v]
