@@ -32,6 +32,18 @@ subtree onto the sibling's and feasibility is invariant under it.
 Both prunings cut only subtrees without a solution, so the first
 success in depth-first order, and every value and witness, stay as
 without them.
+
+The phylogeny search always branches on the lowest uncovered edge.  The
+competition search does so only until the first child of a budget's run
+fails; from then on each node branches on the uncovered edge with the
+fewest live moves, the lowest on ties (fail-first, Haralick and Elliott
+1980), and an edge with none, a dead edge, cuts the node.  The moves at
+a node are complete for whichever uncovered edge it branches on, so
+values stay the same; a run that never backtracks never switches and
+assembles what the lowest-edge order would.  Orbit pruning skips a move
+only after a failure, so the switch falls at the same node with and
+without it, and the pruned search still assembles what the unpruned one
+does.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from .errors import BudgetExhausted, CrossCheckFailed, Infeasible, TooLarge
 from .generate import _labelling, _relabel
 from .graphs import Graph, bits, connected_components
 from .results import PhyloResult
-from .structure import edge_clique_table, triangle_edges
+from .structure import EdgeCliqueTable, edge_clique_table, triangle_edges
 
 __all__ = [
     "SOLVER_CAP_DEFAULT",
@@ -61,13 +73,23 @@ ORACLE_EXTRA_CAP = 3
 class _HeadSearch:
     """Depth-first feasibility search over head assignments for a fixed budget.
 
-    Branches on the lexicographically smallest uncovered edge uv of the
-    graph it is given (the solvers give it a canonical one): every
-    candidate head h of uv (ascending id), extending h's in-set by the
-    endpoints other than h, then a fresh extra per maximal clique
-    containing uv, in the order of the graph's :class:`EdgeCliqueTable`.
-    Completeness: any valid assignment can be replayed through these
-    moves edge by edge.
+    Branches on an uncovered edge uv of the graph it is given (the
+    solvers give it a canonical one): every candidate head h of uv
+    (ascending id), extending h's in-set by the endpoints other than h,
+    then a fresh extra per maximal clique containing uv, in the order of
+    the graph's :class:`EdgeCliqueTable`.  Completeness: any valid
+    assignment covers uv by some head's in-set or some extra's clique,
+    so one of these moves leads towards it, whichever uncovered edge is
+    chosen; replaying the assignment this way, edge by edge in any
+    order, reaches it.
+
+    Which edge: the lowest uncovered one, and with ``fail_first`` the
+    same until the first child of the run fails.  From then on it is the
+    uncovered edge with the fewest live moves, the lowest on ties: head
+    moves that pass the clique test and the cycle test, plus its cliques
+    while extras remain.  The scan stops at the first edge with at most
+    one, and an edge with none cuts the node, since both tests stay
+    failed further down the branch.
 
     The two solvers differ only in the moves built here.  For the
     phylogeny number the head joins the clique it marries, so it must be
@@ -105,11 +127,21 @@ class _HeadSearch:
 
     Both prunings skip only subtrees without a solution, so the first
     success in depth-first order, and every value and witness, are those
-    of the unpruned search.
+    of the unpruned search.  The fail-first switch falls at the same node
+    with and without orbit pruning, since that skips a move only after a
+    failure, and the edge then chosen depends on the node's state alone;
+    so it keeps that equality too.
     """
 
-    def __init__(self, graph: Graph, head_joins: bool, symmetries: Sequence[Sequence[int]] = ()):
+    def __init__(
+        self,
+        graph: Graph,
+        head_joins: bool,
+        symmetries: Sequence[Sequence[int]] = (),
+        fail_first: bool = False,
+    ):
         self.graph = graph
+        self.fail_first = fail_first
         self.n = n = graph.n
         self.table = table = edge_clique_table(graph)
         adj = graph.adj
@@ -186,6 +218,34 @@ class _HeadSearch:
         in_mask = self.assembly.in_set
         extras = self.assembly.extras
         vertex_bit = [1 << v for v in range(n)]
+        fail_first = self.fail_first
+        switched = False  # set once a child fails, in fail-first mode
+
+        def most_constrained(remaining: int, desc: list[int]) -> int:
+            # the uncovered edge with the fewest live moves (head moves that
+            # pass the clique and cycle tests, and its cliques while extras
+            # remain), the lowest on ties, or -1 when one has none; stops at
+            # an edge with at most one.  h lies in fits and never reaches a
+            # tail it has, so the tests read in_mask[h] and desc[h] & add
+            spare = len(extras) < budget
+            best = fewest = -1
+            while remaining:
+                low = remaining & -remaining
+                remaining ^= low
+                ei = low.bit_length() - 1
+                live = len(cliques_on[ei]) if spare else 0
+                if best >= 0 and live >= fewest:
+                    continue
+                for h, _, add, _, fits, _ in head_moves[ei]:
+                    if not (in_mask[h] & ~fits or desc[h] & add):
+                        live += 1
+                        if live == fewest:
+                            break
+                else:
+                    if live <= 1:
+                        return ei if live else -1
+                    best, fewest = ei, live
+            return best
 
         def some_sink_fits(remaining: int, desc: list[int]) -> bool:
             spare = budget - len(extras) + slack
@@ -209,6 +269,7 @@ class _HeadSearch:
         def dfs(covered: int, desc: list[int], perms: tuple, last: int) -> bool:
             # perms fix every move on the path above this node, and last is
             # the key of the move that led here (0, fixed by all, at the root)
+            nonlocal switched
             if deadline is not None and monotonic() > deadline:
                 raise BudgetExhausted("time budget exhausted before the search finished")
             if covered == all_covered:
@@ -216,9 +277,14 @@ class _HeadSearch:
             remaining = all_covered & ~covered
             if not some_sink_fits(remaining, desc):
                 return False
+            if switched:
+                ei = most_constrained(remaining, desc)
+                if ei < 0:
+                    return False
+            else:
+                ei = (remaining & -remaining).bit_length() - 1
             if perms:
                 perms = tuple(pm for pm in perms if not last & pm[1] or _image(pm[0], last) == last)
-            ei = (remaining & -remaining).bit_length() - 1
             failed: set[int] = set()  # the orbits of failed moves' keys
             for h, hb, add, own, fits, key in head_moves[ei]:
                 saved = in_mask[h]
@@ -241,6 +307,7 @@ class _HeadSearch:
                     return True
                 in_mask[h] = saved
                 desc[:] = saved_desc
+                switched = fail_first
                 if perms:
                     failed |= _orbit_of(key, perms)
             if len(extras) < budget:
@@ -251,6 +318,7 @@ class _HeadSearch:
                     if dfs(covered | edge_mask, desc, perms, clique):
                         return True
                     extras.pop()
+                    switched = fail_first
                     if perms:
                         failed |= _orbit_of(clique, perms)
             return False
@@ -497,20 +565,31 @@ def competition_number_exact(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> int
 
     Connected triangle-free graphs take the classical closed form
     ``m - n + 2``; everything else runs the head-assignment search on the
-    canonical relabelling, deepening from the clique-cover bound
-    ``theta_e - n + 2`` (and from 1 for any connected graph on two or
-    more vertices), with theta_e read off the search's own clique table.
+    canonical relabelling, deepening from :func:`_competition_start`.
+    The search branches fail-first once a run has backtracked (see
+    :class:`_HeadSearch`): most of the work is in proving the budget
+    k - 1 infeasible, where the most constrained edge fails soonest.
     """
     if graph.n > cap:
         raise TooLarge(f"competition solver capped at {cap} vertices (got {graph.n})")
     if graph.m == 0:
         return 0
-    connected = len(connected_components(graph)) == 1
-    if connected and not triangle_edges(graph):
+    if not triangle_edges(graph) and len(connected_components(graph)) == 1:
         return graph.m - graph.n + 2
     searched, _, symmetries = _canonical_form(graph)
-    search = _HeadSearch(searched, head_joins=False, symmetries=symmetries)
-    start = max(0, search.table.cover_number() - graph.n + 2)
-    if connected and graph.n >= 2:
+    search = _HeadSearch(searched, head_joins=False, symmetries=symmetries, fail_first=True)
+    return search.deepen(_competition_start(graph, search.table))
+
+
+def _competition_start(graph: Graph, table: EdgeCliqueTable) -> int:
+    """The budget the competition search deepens from.
+
+    Opsut's bound ``theta_e - n + 2``, with theta_e read off ``table``,
+    and at least 1 for a connected graph on two or more vertices: an
+    acyclic digraph has a vertex without prey, which is isolated in its
+    competition graph.
+    """
+    start = max(0, table.cover_number() - graph.n + 2)
+    if graph.n >= 2 and len(connected_components(graph)) == 1:
         start = max(start, 1)
-    return search.deepen(start)
+    return start

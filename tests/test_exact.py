@@ -241,20 +241,16 @@ class TestLabelIndependence:
             assert competition_number_exact(h) == competition_number_exact(g)
 
 
-def competition_start(g: Graph, search: _HeadSearch) -> int:
-    """The budget ``competition_number_exact`` deepens from, for a connected g."""
-    return max(1, search.table.cover_number() - g.n + 2)
-
-
 class TestOrbitPruning:
     """The head search pruned by automorphisms against the unpruned one."""
 
     @staticmethod
     def pair(g: Graph, head_joins: bool) -> tuple[_HeadSearch, _HeadSearch]:
+        # the competition searches branch fail-first, as the solver's does
         searched, _, symmetries = exact._canonical_form(g)
         return (
-            _HeadSearch(searched, head_joins, symmetries=()),
-            _HeadSearch(searched, head_joins, symmetries=symmetries),
+            _HeadSearch(searched, head_joins, symmetries=(), fail_first=not head_joins),
+            _HeadSearch(searched, head_joins, symmetries=symmetries, fail_first=not head_joins),
         )
 
     @pytest.mark.parametrize("head_joins", [True, False], ids=["phylogeny", "competition"])
@@ -263,26 +259,18 @@ class TestOrbitPruning:
             if g.m == 0:
                 continue
             plain, pruned = self.pair(g, head_joins)
-            start = 0 if head_joins else competition_start(g, plain)
+            start = 0 if head_joins else exact._competition_start(g, plain.table)
             assert plain.deepen(start) == pruned.deepen(start), g
             assert plain.assembly.in_set == pruned.assembly.in_set, g
             assert plain.assembly.extras == pruned.assembly.extras, g
 
-    def test_pruning_visits_fewer_nodes(self, monkeypatch):
-        # with a deadline set, the search reads the clock once per node
-        readings = []
-
-        def clock():
-            readings.append(None)
-            return 0.0
-
-        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=clock))
+    def test_pruning_visits_fewer_nodes(self, node_depths):
         g = graph6_decode("F?~vw")
         nodes = []
         for search in self.pair(g, head_joins=False):
-            readings.clear()
-            assert search.deepen(competition_start(g, search), deadline=1e9) == 4
-            nodes.append(len(readings))
+            node_depths.clear()
+            assert search.deepen(exact._competition_start(g, search.table), deadline=1e9) == 4
+            nodes.append(len(node_depths))
         plain, pruned = nodes
         assert pruned < plain
 
@@ -297,3 +285,61 @@ class TestOrbitPruning:
             for sym in symmetries:
                 assert sorted(sym) == list(range(g.n))
                 assert all(searched.has_edge(sym[u], sym[v]) for u, v in searched.edges), (h, sym)
+
+
+def branch_orders(g: Graph, head_joins: bool) -> tuple[_HeadSearch, _HeadSearch]:
+    """The solver's search of g in the canonical edge order and fail-first."""
+    searched, _, symmetries = exact._canonical_form(g)
+    return (
+        _HeadSearch(searched, head_joins, symmetries=symmetries),
+        _HeadSearch(searched, head_joins, symmetries=symmetries, fail_first=True),
+    )
+
+
+def check_fail_first_agreement(graphs, head_joins: bool, depths: list) -> tuple[int, int]:
+    """Both branch orders give the same ``run(b)`` at b = p - 1 and b = p.
+
+    ``depths`` is the ``node_depths`` fixture's list.  Where the canonical
+    run at b succeeds with no failed child, the fail-first run never
+    switches and must assemble the same in-sets and extras.  Returns the
+    budget pairs checked and how many of them were such successes.
+    """
+    pairs = unswitched = 0
+    for g in graphs:
+        if g.m == 0:
+            continue
+        canonical, fail_first = branch_orders(g, head_joins)
+        start = 0 if head_joins else exact._competition_start(g, canonical.table)
+        value = canonical.deepen(start, deadline=1e9)
+        assert fail_first.deepen(start, deadline=1e9) == value, g
+        for budget in range(max(value - 1, 0), value + 1):
+            depths.clear()
+            found = canonical.run(budget)
+            steady = all(b == a + 1 for a, b in zip(depths, depths[1:]))
+            assert fail_first.run(budget) == found == (budget == value), (g, budget)
+            pairs += 1
+            if found and steady:
+                unswitched += 1
+                assert fail_first.assembly.in_set == canonical.assembly.in_set, g
+                assert fail_first.assembly.extras == canonical.assembly.extras, g
+    return pairs, unswitched
+
+
+class TestFailFirst:
+    """The competition search's fail-first branching against the canonical order."""
+
+    @pytest.mark.parametrize("head_joins", [True, False], ids=["phylogeny", "competition"])
+    def test_agrees_with_canonical_order(self, head_joins, node_depths):
+        pairs, unswitched = check_fail_first_agreement(connected_graphs_upto(6), head_joins, node_depths)
+        assert 0 < unswitched < pairs
+
+    @pytest.mark.parametrize("line", ["F?~vw", "F@v~o", "F?~vg", "FFz~o"])
+    def test_visits_fewer_nodes(self, line, node_depths):
+        g = graph6_decode(line)
+        nodes = []
+        for search in branch_orders(g, head_joins=False):
+            node_depths.clear()
+            search.deepen(exact._competition_start(g, search.table), deadline=1e9)
+            nodes.append(len(node_depths))
+        canonical, fail_first = nodes
+        assert fail_first < canonical

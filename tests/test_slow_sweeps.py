@@ -3,8 +3,9 @@
 These push the module invariants one size past the acceptance scope:
 the generator against its naive reference and the published count,
 sandwich, cover identity and upper-construction budget at 8 vertices,
-the exhaustive labeling/acyclicity equivalence at 5 vertices, and the
-competition solver against Roberts' characterization at 7 vertices.
+the exhaustive labeling/acyclicity equivalence at 5 vertices, and, at
+7 vertices, the competition solver against Roberts' characterization
+and the head search's fail-first branching against its canonical order.
 """
 
 import os
@@ -20,7 +21,7 @@ from phylokit.graphs import Digraph, acyclic_labeling, is_acyclic
 from phylokit.structure import census, edge_clique_cover_number, triangle_edges
 from phylokit.sweep import in_k4free_diamond_scope
 from phylokit.witness import construct_k4free_upper, replay_trace
-from test_exact import roberts_competition_number
+from test_exact import check_fail_first_agreement, roberts_competition_number
 
 slow = pytest.mark.skipif(
     not os.environ.get("PHYLOKIT_SLOW_TESTS"),
@@ -100,3 +101,10 @@ def test_competition_oracle_at_seven_vertices_with_a_triangle():
             assert competition_number_exact(g) == roberts_competition_number(g), g
             checked += 1
     assert checked == 794
+
+
+@slow
+@pytest.mark.parametrize("head_joins", [True, False], ids=["phylogeny", "competition"])
+def test_fail_first_agreement_at_seven_vertices(head_joins, node_depths):
+    pairs, unswitched = check_fail_first_agreement(connected_graphs(7), head_joins, node_depths)
+    assert 0 < unswitched < pairs
