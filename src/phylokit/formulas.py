@@ -470,7 +470,7 @@ def phylogeny_number_auto(
     ]
     total = sum(r.value for r in results)
     tags = [r.method for r in results]
-    reduced = len(kernels) != 1 or (kernels and kernels[0].n != graph.n) or not kernels
+    reduced = len(kernels) != 1 or kernels[0].n != graph.n
     if not tags:
         method = "reduce"
     elif len(tags) == 1:

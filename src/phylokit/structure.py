@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import HypothesisViolated, TooLarge
-from .generate import _least_leaf, _orbit
+from .generate import _labelling, _orbit
 from .graphs import Edge, Graph, bits, component_masks
 
 __all__ = [
@@ -284,8 +284,7 @@ def is_vertex_transitive(graph: Graph) -> bool:
         return False
     if graph.n > TRANSITIVITY_CAP:
         raise TooLarge(f"vertex transitivity check capped at {TRANSITIVITY_CAP} vertices (got {graph.n})")
-    generators = _least_leaf(graph.adj, [list(range(graph.n))], automorphisms=True)[2]
-    return len(_orbit(0, generators)) == graph.n
+    return len(_orbit(0, _labelling(graph)[1])) == graph.n
 
 
 def census_json(graph: Graph, theta_cap: int = THETA_CAP_DEFAULT) -> dict:

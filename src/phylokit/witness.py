@@ -27,9 +27,10 @@ from .graphs import (
     Graph,
     acyclic_labeling,
     bits,
+    component_masks,
     connected_components,
 )
-from .structure import maximal_cliques, sandwich_census, triangle_edges
+from .structure import StructureReport, maximal_cliques, sandwich_census, triangle_edges
 
 __all__ = [
     "Subgraph",
@@ -134,6 +135,32 @@ def check_subgraph_clique_conditions(host: Graph, sub: Subgraph) -> None:
 # Triangle-free optimal construction.
 
 
+def _spanning_forest(asm: Assembly, graph: Graph, within: int) -> None:
+    """Write the spanning-tree construction for each component of ``graph`` on ``within``.
+
+    The graph on the vertex mask ``within`` must be triangle-free.  Per
+    component, lowest vertex first: a breadth-first spanning tree rooted
+    at the component's lowest vertex, neighbours taken in ascending
+    order, each tree edge an arc from parent to child; then one caring
+    extra per non-tree edge, in sorted edge order.  Ids are ``graph``'s.
+    """
+    adj = graph.adj
+    for comp in component_masks(adj, within):
+        seen = comp & -comp
+        queue = [seen.bit_length() - 1]
+        tree: set[Edge] = set()
+        for v in queue:
+            for w in bits(adj[v] & comp & ~seen):
+                seen |= 1 << w
+                asm.in_set[w] |= 1 << v
+                tree.add((v, w) if v < w else (w, v))
+                queue.append(w)
+        for u in bits(comp):
+            for v in bits(adj[u] & comp & ~((2 << u) - 1)):
+                if (u, v) not in tree:
+                    asm.new_extra((1 << u) | (1 << v))
+
+
 def construct_triangle_free(graph: Graph) -> PhyloCertificate:
     """An optimal certificate for a connected triangle-free graph.
 
@@ -146,27 +173,9 @@ def construct_triangle_free(graph: Graph) -> PhyloCertificate:
         raise Disconnected("the triangle-free construction needs a connected graph")
     if triangle_edges(graph):
         raise NotTriangleFree("graph contains a triangle")
-    n = graph.n
-    parent = [-1] * n
-    seen = [False] * n
-    seen[0] = True
-    queue = [0]
-    tree: set[Edge] = set()
-    while queue:
-        v = queue.pop(0)
-        for w in graph.neighbors(v):
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                tree.add(tuple(sorted((v, w))))
-                queue.append(w)
-    arcs = [(parent[v], v) for v in range(n) if parent[v] >= 0]
-    extra = n
-    for u, v in sorted(graph.edges - tree):
-        arcs.append((u, extra))
-        arcs.append((v, extra))
-        extra += 1
-    return validate_phylogeny_digraph(Digraph(extra, arcs), range(n), graph)
+    asm = Assembly(graph.n)
+    _spanning_forest(asm, graph, graph.vertex_mask())
+    return asm.certificate(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +194,7 @@ def construct_gminus_caring(graph: Graph) -> tuple[PhyloCertificate, bool]:
     """
     report = sandwich_census(graph)
     asm = Assembly(graph.n)
-    for comp in report.g_minus_components:
-        sub, order = report.g_minus.induced_subgraph(comp)
-        asm.absorb(construct_triangle_free(sub), order)
+    _spanning_forest(asm, report.g_minus, graph.vertex_mask())
     for triangle in report.triangle_list:
         asm.new_extra(sum(1 << v for v in triangle))
     optimal = len(report.g_minus_components) == 1
@@ -297,63 +304,70 @@ def _cared_extra(asm: Assembly, a: int, b: int) -> int:
     return j
 
 
-def _build_upper(graph: Graph, order: Sequence[int], asm: Assembly, steps: list[dict]) -> None:
-    """Recursive proof-following construction; ids in ``asm`` are original."""
-    report = sandwich_census(graph)
+def _intact(adj: tuple[int, ...], within: int, vertices: Sequence[int], edges: int) -> bool:
+    """Whether ``vertices`` lie in ``within`` and still span ``edges`` edges."""
+    mask = sum(1 << v for v in vertices)
+    return not mask & ~within and sum((adj[v] & mask).bit_count() for v in vertices) == 2 * edges
 
-    if report.t == 0:
-        part = Assembly(asm.n)
-        part.absorb(construct_triangle_free(graph), order)
-        first = len(asm.extras)
-        _record(
-            asm, steps, op="triangle-free-base", vertices=list(order),
-            in_arcs=sorted((t, h) for h in range(part.n) for t in bits(part.in_set[h])),
-            extras=[(first + j, sorted(bits(members))) for j, members in enumerate(part.extras)],
-        )
-        return
 
-    if report.d >= 1:
-        quad, shared = report.diamond_list[0]
-        x, z = shared
+def _build_upper(graph: Graph, report: StructureReport, within: int, asm: Assembly, steps: list[dict]) -> None:
+    """Recursive proof-following construction on the component ``within``.
+
+    ``graph`` is the input less the edges deleted so far and ``report``
+    is the input's census.  The input is K4-free with edge-disjoint
+    diamonds, so deleting edges creates no triangle or diamond: those
+    left are the census's that lie in ``within`` with all their edges.
+    """
+    adj = graph.adj
+    diamond = next((dm for dm in report.diamond_list if _intact(adj, within, dm[0], 5)), None)
+    if diamond is not None:
+        quad, (x, z) = diamond
         y, w = sorted(set(quad) - {x, z})
-        deleted = [tuple(sorted((x, z))), tuple(sorted((y, z))), tuple(sorted((w, z)))]
+        deleted = [(x, z), tuple(sorted((y, z))), tuple(sorted((w, z)))]
         g_star = graph.without_edges(deleted)
         _check(
             not g_star.adj[x] & (g_star.adj[y] | g_star.adj[w]),
             "a rim edge at x still lies on a triangle",
         )
-        ox, oy, oz, ow = order[x], order[y], order[z], order[w]
         _record(
-            asm, steps, op="remove-diamond-center-edges", diamond=[order[q] for q in quad],
-            shared_edge=[ox, oz], deleted=[[order[a], order[b]] for a, b in deleted],
+            asm, steps, op="remove-diamond-center-edges", diamond=list(quad),
+            shared_edge=[x, z], deleted=[list(e) for e in deleted],
         )
-        comps = connected_components(g_star)
+        comps = component_masks(g_star.adj, within)
         if len(comps) == 2:
-            comp_x = next(c for c in comps if x in c)
-            comp_z = next(c for c in comps if z in c)
+            comp_x, comp_z = comps if comps[0] >> x & 1 else reversed(comps)
             _check(
-                comp_x is not comp_z and y in comp_x and w in comp_x,
+                comp_z >> z & comp_x >> y & comp_x >> w & 1,
                 "the rim must stay on x's side when the diamond splits the graph",
             )
             for comp in (comp_x, comp_z):
-                sub, sub_order = g_star.induced_subgraph(comp)
-                _build_upper(sub, [order[v] for v in sub_order], asm, steps)
-            _repair_diamond(asm, steps, ox, oy, oz, ow, new_vertex_allowed=False)
+                _build_upper(g_star, report, comp, asm, steps)
+            _repair_diamond(asm, steps, x, y, z, w, new_vertex_allowed=False)
         else:
             _check(len(comps) == 1, "deleting the center edges left over two components")
-            _build_upper(g_star, order, asm, steps)
-            _repair_diamond(asm, steps, ox, oy, oz, ow, new_vertex_allowed=True)
+            _build_upper(g_star, report, within, asm, steps)
+            _repair_diamond(asm, steps, x, y, z, w, new_vertex_allowed=True)
+        return
+
+    triangle = next((tr for tr in report.triangle_list if _intact(adj, within, tr, 3)), None)
+    if triangle is None:
+        part = Assembly(asm.n)
+        _spanning_forest(part, graph, within)
+        first = len(asm.extras)
+        _record(
+            asm, steps, op="triangle-free-base", vertices=list(bits(within)),
+            in_arcs=sorted((t, h) for h in bits(within) for t in bits(part.in_set[h])),
+            extras=[(first + j, list(bits(members))) for j, members in enumerate(part.extras)],
+        )
         return
 
     # no diamond, at least one triangle: delete the smallest triangle edge,
     # the first two vertices of the first triangle
-    u, v, w = report.triangle_list[0]
-    _check(graph.adj[u] & graph.adj[v] == 1 << w, "edge on two triangles in a diamond-free graph")
-    g_one = graph.without_edges([(u, v)])
-    ou, ov, ow = order[u], order[v], order[w]
-    _record(asm, steps, op="remove-triangle-edge", edge=[ou, ov], triangle=sorted((ou, ov, ow)))
-    _build_upper(g_one, order, asm, steps)
-    _repair_triangle(asm, steps, ou, ov, ow)
+    u, v, w = triangle
+    _check(adj[u] & adj[v] == 1 << w, "edge on two triangles in a diamond-free graph")
+    _record(asm, steps, op="remove-triangle-edge", edge=[u, v], triangle=list(triangle))
+    _build_upper(graph.without_edges([(u, v)]), report, within, asm, steps)
+    _repair_triangle(asm, steps, u, v, w)
 
 
 def _repair_triangle(asm: Assembly, steps: list[dict], u: int, v: int, w: int) -> None:
@@ -455,12 +469,13 @@ def construct_k4free_upper(graph: Graph) -> ConstructionTrace:
     diamond's three center edges or a lone triangle edge, build a
     certificate for the smaller graph, and repair the deleted edges
     within the allotted budget.  Once no triangle remains the recursion
-    ends in :func:`construct_triangle_free`, so nothing here searches.
+    ends in the spanning-tree construction, so nothing here searches.
+    Every level works in the input's ids on the input's one census.
     """
     report = sandwich_census(graph)
     asm = Assembly(graph.n)
     steps: list[dict] = []
-    _build_upper(graph, list(range(graph.n)), asm, steps)
+    _build_upper(graph, report, graph.vertex_mask(), asm, steps)
     cert = asm.certificate(graph)
     bound = graph.m - graph.n - report.t + 1
     _check(

@@ -13,6 +13,8 @@ from phylokit.cli import main
 from phylokit.exact import phylogeny_number_exact
 from phylokit.formulas import phylogeny_number_auto
 from phylokit.generate import connected_graphs, connected_graphs_upto, graph6_encode
+from phylokit.sweep import in_k4free_diamond_scope
+from phylokit.witness import construct_gminus_caring, construct_k4free_upper
 
 SWEEP_N6_DIGEST = "61c9c1388099a5f98bf5b84d4da6f9e641592662c52adbce6bd5edd9d7cf54ee"
 # A kernel whose value the sandwich's upper end gives exactly takes its
@@ -23,6 +25,9 @@ SWEEP_N6_DIGEST = "61c9c1388099a5f98bf5b84d4da6f9e641592662c52adbce6bd5edd9d7cf5
 AUTO_WITNESS_N6_DIGEST = "f15af1d5c301edb5e5f7b416d28d6c218094942facb17f98c7828a87ec1b485a"
 AUTO_WITNESS_LABELLED_N5_DIGEST = "eca79b85fb8485aa7031b5e2a3efc329f2da8b78e57b47448ef63a9fc062cf63"
 AUTO_VALUE_N6_DIGEST = "4a6b3aa5c5dd0e120c45bfc899f62c1e16bf10d537f4fbd28e3d06b030c44438"
+# upper-construction steps and arcs, then caring-construction arcs, over
+# the in-scope connected graphs: the AUTO_* digests see few of these
+CONSTRUCTIONS_N7_DIGEST = "3b04948124144a7d13f12113a42b038cc6a2e591a3f3e5cf1916392da5d9681f"
 SOLVER_WITNESS_N6_DIGEST = "d3a03c37f3376e70221e0f589bed9c2eba1ddb90f85fb05223eab422a219f226"
 CONNECTED_N8_DIGEST = "9c399dc9ca82ca18c2f0d8ccf4268ccaa2dacd7d301c21f4364d37e0b727ad6f"
 
@@ -65,6 +70,19 @@ def test_auto_values_n6_are_pinned():
         lines.append(json.dumps([graph6_encode(g), result.value, result.method]))
     assert len(lines) == 143
     assert _digest(lines) == AUTO_VALUE_N6_DIGEST
+
+
+def test_constructions_n7_are_pinned():
+    lines = []
+    for g in connected_graphs_upto(7):
+        if not in_k4free_diamond_scope(g):
+            continue
+        trace = construct_k4free_upper(g)
+        caring, _ = construct_gminus_caring(g)
+        arcs = [trace.certificate.digraph.sorted_arcs(), caring.digraph.sorted_arcs()]
+        lines.append(json.dumps([graph6_encode(g), list(trace.steps), *arcs]))
+    assert len(lines) == 369
+    assert _digest(lines) == CONSTRUCTIONS_N7_DIGEST
 
 
 def test_solver_witnesses_n6_are_pinned():

@@ -25,7 +25,7 @@ from phylokit.graphs import (
     path_graph,
 )
 from phylokit.structure import census
-from phylokit.sweep import in_k4free_diamond_scope
+from phylokit.sweep import in_k4free_diamond_scope, run_sweep
 from phylokit.witness import (
     FIGURE_NAMES,
     Subgraph,
@@ -133,16 +133,28 @@ class TestUpperConstruction:
             construct_k4free_upper(complete_graph(4))
 
     def test_budget_checked_under_optimization(self):
-        # a base case with one dedicated extra per edge blows the budget
+        # a base case with one dedicated extra per edge and no arcs is a
+        # valid certificate that blows the budget (20 extras against 6)
         assert raises_under_optimization(
             "import phylokit.witness as w\n"
-            "from phylokit.graphs import Digraph\n"
-            "def base(g):\n"
-            "    arcs = [(v, g.n + i) for i, e in enumerate(g.sorted_edges()) for v in e]\n"
-            "    return w.validate_phylogeny_digraph(Digraph(g.n + g.m, arcs), range(g.n), g)\n"
-            "w.construct_triangle_free = base\n"
+            "def base(asm, g, within):\n"
+            "    for u, v in g.sorted_edges():\n"
+            "        if within >> u & within >> v & 1:\n"
+            "            asm.new_extra((1 << u) | (1 << v))\n"
+            "w._spanning_forest = base\n"
             "w.construct_k4free_upper(w.figure_catalog('fig3_G1'))"
         )
+
+    def test_one_census_per_graph(self):
+        # every recursion level reads the input's census, so the one-graph
+        # memo holds across a graph's sweep record and both constructions
+        census.cache_clear()
+        list(run_sweep(connected_graphs_upto(6)))
+        assert census.cache_info().misses == 143
+        g = diamond_necklace(3)
+        census.cache_clear()
+        construct_k4free_upper(g)
+        assert census.cache_info().misses == 1
 
     @pytest.mark.parametrize("op", ["new-extra", "reroute-in-arcs"])
     def test_replay_rejects_extra_out_of_order(self, op):
