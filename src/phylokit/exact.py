@@ -142,6 +142,7 @@ class _HeadSearch:
     ):
         self.graph = graph
         self.fail_first = fail_first
+        self.deadline: float | None = None  # set by deepen; run alone has none
         self.n = n = graph.n
         self.table = table = edge_clique_table(graph)
         adj = graph.adj
@@ -377,7 +378,7 @@ def _canonical_form(graph: Graph) -> tuple[Graph, tuple[int, ...] | None, list[t
     for new, old in enumerate(order):
         position[old] = new
     symmetries = [tuple(position[perm[old]] for old in order) for perm in generators]
-    return _relabel(graph, order), order, symmetries
+    return _relabel(graph.n, graph.edges, order), order, symmetries
 
 
 def phylogeny_number_exact(

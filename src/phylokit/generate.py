@@ -8,7 +8,7 @@ standard tooling without depending on it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ParseError, TooLarge
 from .graphs import Graph, bits, component_masks
@@ -90,11 +90,13 @@ def _refine(adj: tuple[int, ...], partition: list[list[int]], inert: set[int]) -
 
     Repeatedly splits every cell by the neighbour count in the first
     cell, as a vertex mask, that splits anything, and stops when no cell
-    does or the partition is discrete.  ``inert`` holds masks already
-    shown to split nothing; it is read and extended here.  A mask that
-    splits no cell of a partition splits no cell of any refinement of
-    it, so skipping those masks, here and in every search below this
-    one, yields the same partition.
+    does or the partition is discrete.  ``inert`` holds masks that split
+    no cell; it is read and extended here.  A mask that splits no cell of
+    a partition splits no cell of any refinement of it, so skipping those
+    masks, here and in every search below this one, yields the same
+    partition.  A splitter's mask joins ``inert`` once applied, since
+    every cell is then uniform towards it; a mask that splits nothing
+    joins it as well.  A cell that does not split is kept as it is.
     """
     n = len(adj)
     while len(partition) < n:
@@ -104,23 +106,35 @@ def _refine(adj: tuple[int, ...], partition: list[list[int]], inert: set[int]) -
                 splitter_mask |= 1 << v
             if splitter_mask in inert:
                 continue
+            inert.add(splitter_mask)
             new_partition: list[list[int]] = []
             split_here = False
             for cell in partition:
-                if len(cell) == 1:
+                size = len(cell)
+                if size == 1:
                     new_partition.append(cell)
-                    continue
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & splitter_mask).bit_count(), []).append(v)
-                if len(groups) > 1:
-                    split_here = True
-                for key in sorted(groups):
-                    new_partition.append(groups[key])
+                elif size == 2:
+                    u, v = cell
+                    cu = (adj[u] & splitter_mask).bit_count()
+                    cv = (adj[v] & splitter_mask).bit_count()
+                    if cu == cv:
+                        new_partition.append(cell)
+                    else:
+                        split_here = True
+                        new_partition += ([u], [v]) if cu < cv else ([v], [u])
+                else:
+                    groups: dict[int, list[int]] = {}
+                    for v in cell:
+                        groups.setdefault((adj[v] & splitter_mask).bit_count(), []).append(v)
+                    if len(groups) == 1:
+                        new_partition.append(cell)
+                    else:
+                        split_here = True
+                        for key in sorted(groups):
+                            new_partition.append(groups[key])
             if split_here:
                 partition = new_partition
                 break
-            inert.add(splitter_mask)
         else:
             break
     return partition
@@ -163,14 +177,13 @@ def _least_leaf(
     def search(partition: list[list[int]], inert: set[int]) -> None:
         nonlocal best_code, best_order
         partition = _refine(adj, partition, inert)
-        target = next((i for i, cell in enumerate(partition) if len(cell) > 1), None)
-        if target is None:
+        if len(partition) == n:
             order = [cell[0] for cell in partition]
             code = 0
             for j in range(1, n):
                 row = adj[order[j]]
-                for i in range(j):
-                    code = code << 1 | (row >> order[i] & 1)
+                for w in order[:j]:
+                    code = code << 1 | (row >> w & 1)
             if best_code < 0 or code < best_code:
                 best_code, best_order = code, order
             if automorphisms:
@@ -181,10 +194,17 @@ def _least_leaf(
                         perm[v] = w
                     generators[tuple(perm)] = None
             return
+        target = 0
+        while len(partition[target]) == 1:
+            target += 1
         cell = partition[target]
         tried: list[int] = []
         for v in cell:
-            twin = next((u for u in tried if _twins(adj, u, v)), None)
+            twin = None
+            for u in tried:
+                if _twins(adj, u, v):
+                    twin = u
+                    break
             if twin is not None:
                 if automorphisms:
                     perm = list(range(n))
@@ -238,16 +258,25 @@ def canonical_labeling(graph: Graph) -> tuple[int, ...]:
     return _labelling(graph)[0]
 
 
-def _relabel(graph: Graph, order: tuple[int, ...]) -> Graph:
-    """The graph whose vertex ``i`` is vertex ``order[i]`` of ``graph``."""
-    position = [0] * graph.n
+def _relabel(n: int, edges: Iterable[tuple[int, int]], order: tuple[int, ...]) -> Graph:
+    """The graph whose vertex ``i`` is vertex ``order[i]`` of the graph with these edges.
+
+    ``order`` is a permutation and ``edges`` a valid edge set, so the
+    result is built unchecked; its edges are inserted in the order given,
+    as ``Graph(n, ...)`` would insert them.
+    """
+    position = [0] * n
     for new, old in enumerate(order):
         position[old] = new
-    return Graph(graph.n, [(position[u], position[v]) for u, v in graph.edges])
+    mapped = []
+    for u, v in edges:
+        a, b = position[u], position[v]
+        mapped.append((a, b) if a < b else (b, a))
+    return Graph._unchecked(n, mapped)
 
 
 def canonical_graph(graph: Graph) -> Graph:
-    return _relabel(graph, canonical_labeling(graph))
+    return _relabel(graph.n, graph.edges, canonical_labeling(graph))
 
 
 def canonical_graph6(graph: Graph) -> str:
@@ -276,18 +305,30 @@ def _deletion_candidates(g: Graph, generators: list[tuple[int, ...]]) -> Iterato
             image = 1 << perm[v]
             table += [t | image for t in table]
         images.append(table)
-    seen = set()
+    seen = bytearray(1 << k)  # marks the subsets of the orbits met so far
     for subset in range(1, 1 << k):
-        if subset in seen:
+        if seen[subset]:
             continue
-        seen.update(_orbit(subset, images))
+        if images:  # a trivial group has one-subset orbits, so nothing to mark
+            seen[subset] = 1
+            orbit = [subset]
+            for x in orbit:
+                for table in images:
+                    y = table[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        orbit.append(y)
         size = subset.bit_count()
         for u in by_degree:
             if degree[u] < size:  # neither u nor any later vertex outranks k
                 yield subset
                 break
-            if degree[u] + (subset >> u & 1) > size and all(p & subset for p in pieces[u]):
-                break
+            if degree[u] + (subset >> u & 1) > size:
+                for piece in pieces[u]:
+                    if not piece & subset:
+                        break
+                else:  # every component of g - u meets S: u is no cut vertex
+                    break
         else:
             yield subset
 
@@ -311,9 +352,10 @@ def _levels(n: int) -> Iterator[list[Graph]]:
                 adj.append(subset)
                 code, order, _ = _least_leaf(tuple(adj), [list(range(k + 1))])
                 if code not in bigger:
-                    # canonical_graph(extension), edge iteration order included
-                    extension = Graph(k + 1, [*g.edges, *((v, k) for v in bits(subset))])
-                    bigger[code] = _relabel(extension, order)
+                    # canonical_graph(extension), edge iteration order included:
+                    # the extension's edges iterate as Graph.__init__ leaves them
+                    edges = frozenset(set([*g.edges, *((v, k) for v in bits(subset))]))
+                    bigger[code] = _relabel(k + 1, edges, order)
         level = [bigger[code] for code in sorted(bigger)]
         yield level
 

@@ -82,6 +82,23 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "adj", tuple(adj))
 
+    @classmethod
+    def _unchecked(cls, n: int, edges: list[Edge]) -> "Graph":
+        """``Graph(n, edges)`` for distinct in-range ``(u, v)`` pairs with ``u < v``.
+
+        Skips the checks and builds ``edges`` the way ``__init__`` does,
+        inserting in list order, so it iterates the same way.
+        """
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", frozenset(set(edges)))
+        object.__setattr__(graph, "adj", tuple(adj))
+        return graph
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 

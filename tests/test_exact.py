@@ -1,6 +1,7 @@
 """Exact solvers against the brute-force oracles and known values."""
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from phylokit import exact
-from phylokit.derived import check_nontriangle_edge_arcs, validate_phylogeny_digraph
+from phylokit.derived import check_nontriangle_edge_arcs, competition_graph, validate_phylogeny_digraph
 from phylokit.errors import BudgetExhausted, Infeasible, TooLarge
 from phylokit.exact import (
     _HeadSearch,
@@ -16,14 +17,22 @@ from phylokit.exact import (
     oracle_phylogeny_number,
     phylogeny_number_exact,
 )
-from phylokit.generate import canonical_graph6, connected_graphs, connected_graphs_upto, graph6_decode
+from phylokit.generate import (
+    canonical_graph6,
+    connected_graphs,
+    connected_graphs_upto,
+    graph6_decode,
+    graph6_encode,
+)
 from phylokit.graphs import (
+    Digraph,
     Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
     grid_2xk,
+    is_acyclic,
     path_graph,
 )
 from phylokit.structure import census
@@ -223,6 +232,40 @@ class TestCompetitionOracle:
         assert competition_number_exact(g) == value
 
 
+class TestDifferenceAtSmallN:
+    """p - k + 1 on small connected graphs, where it first reaches 1 and 2."""
+
+    def test_connected_graphs_up_to_seven_vertices(self):
+        counts = Counter()
+        first = {}
+        for g in connected_graphs_upto(7):
+            if g.n < 2:
+                continue
+            # the solver validates its witness whether or not it returns it
+            value = phylogeny_number_exact(g, want_witness=False).value - competition_number_exact(g) + 1
+            counts[value] += 1
+            first.setdefault(value, graph6_encode(g))
+        assert counts == {0: 956, 1: 39}
+        assert first[1] == "E@ro"
+
+    def test_clique_and_k23_sharing_a_vertex(self):
+        # n = 8, one vertex fewer than the difference family's l = 2 graph
+        g = graph6_decode("G?C^Fw")
+        result = phylogeny_number_exact(g)
+        validate_phylogeny_digraph(result.witness.digraph, result.witness.base, g)
+        assert result.value == result.witness.extra_count == 2
+        # k >= 1: no vertex is isolated, but the last vertex of an acyclic
+        # digraph has no prey, so it is isolated in the competition graph
+        assert all(g.adj)
+        # k <= 1: the competition graph of this acyclic digraph is g plus vertex 8
+        arcs = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 8), (4, 8),
+                (5, 8), (6, 1), (6, 3), (6, 5), (7, 2), (7, 4), (7, 6), (7, 8)]
+        digraph = Digraph(9, arcs)
+        assert is_acyclic(digraph)
+        assert competition_graph(digraph) == Graph(9, g.edges)
+        assert competition_number_exact(g) == roberts_competition_number(g) == 1
+
+
 class TestLabelIndependence:
     """Both solvers search the canonical relabelling of their input."""
 
@@ -285,6 +328,18 @@ class TestOrbitPruning:
             for sym in symmetries:
                 assert sorted(sym) == list(range(g.n))
                 assert all(searched.has_edge(sym[u], sym[v]) for u, v in searched.edges), (h, sym)
+
+
+class TestRunAlone:
+    """``run`` on a fresh search, without ``deepen`` setting a deadline first."""
+
+    @pytest.mark.parametrize("fail_first", [False, True], ids=["canonical", "fail-first"])
+    @pytest.mark.parametrize("head_joins, value", [(True, 1), (False, 2)], ids=["phylogeny", "competition"])
+    def test_four_cycle(self, head_joins, value, fail_first):
+        search = _HeadSearch(cycle_graph(4), head_joins, fail_first=fail_first)
+        assert not search.run(value - 1)
+        assert search.run(value)
+        assert len(search.assembly.extras) == value
 
 
 def branch_orders(g: Graph, head_joins: bool) -> tuple[_HeadSearch, _HeadSearch]:

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import glued_block_graphs, labelled_graphs
 from phylokit.errors import ConditionViolated, HypothesisViolated, NotTriangleFree, TooLarge
-from phylokit.exact import phylogeny_number_exact
+from phylokit.exact import oracle_phylogeny_number, phylogeny_number_exact
 from phylokit.formulas import (
     bounds_k4free,
     decompose_equal,
@@ -36,6 +36,7 @@ from phylokit.graphs import (
     path_graph,
     star_graph,
 )
+from phylokit.structure import census
 from phylokit.witness import Subgraph, figure_catalog
 
 
@@ -192,6 +193,46 @@ class TestBoundsSandwich:
         shared = Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
         with pytest.raises(HypothesisViolated):
             bounds_k4free(shared)
+
+    @pytest.mark.parametrize(
+        "line, broken, p, lower, upper",
+        [
+            ("D]{", "share an edge", 1, 0, 0),  # the wheel W4
+            ("E?~w", "share an edge", 0, 2, 0),  # the book: K2 joined to 4 vertices
+            ("FWC]w", "K4", 1, -4, 0),  # a K4 and a C4 sharing a vertex
+        ],
+    )
+    def test_minimal_graphs_outside_the_sandwich(self, line, broken, p, lower, upper):
+        # each breaks one hypothesis, and p misses the interval its census gives
+        g = graph6_decode(line)
+        with pytest.raises(HypothesisViolated, match=broken):
+            bounds_k4free(g)
+        report = census(g)
+        assert (g.m - g.n - 2 * report.t + report.d + 1, g.m - g.n - report.t + 1) == (lower, upper)
+        assert phylogeny_number_exact(g).value == oracle_phylogeny_number(g, p) == p
+        assert not lower <= p <= upper
+
+    def test_where_the_sandwich_fails_up_to_seven_vertices(self):
+        # per broken hypothesis: graphs, then those below the (clamped)
+        # lower end and those above the upper end
+        counts = Counter()
+        for g in connected_graphs_upto(7):
+            report = census(g)
+            shared = not report.diamonds_edge_disjoint
+            if not (report.has_k4 or shared):
+                continue
+            broken = "both" if report.has_k4 and shared else "K4" if report.has_k4 else "shared diamonds"
+            p = phylogeny_number_exact(g, want_witness=False).value
+            counts[broken] += 1
+            counts[broken, "lower fails"] += p < max(0, g.m - g.n - 2 * report.t + report.d + 1)
+            counts[broken, "upper fails"] += p > max(0, g.m - g.n - report.t + 1)
+        assert counts == {
+            "shared diamonds": 275,
+            ("shared diamonds", "lower fails"): 65,
+            ("shared diamonds", "upper fails"): 66,
+            "K4": 42, ("K4", "lower fails"): 0, ("K4", "upper fails"): 1,
+            "both": 310, ("both", "lower fails"): 5, ("both", "upper fails"): 82,
+        }
 
 
 class TestCliqueCoverBound:

@@ -8,6 +8,8 @@ from phylokit.errors import ParseError, TooLarge
 from phylokit.generate import (
     _least_leaf,
     _orbit,
+    _refine,
+    _relabel,
     canonical_graph,
     canonical_graph6,
     connected_graphs,
@@ -99,6 +101,42 @@ class TestCanonicalForm:
 
     def test_twin_heavy_graphs_are_fast(self):
         assert canonical_graph6(complete_graph(8)) == graph6_encode(complete_graph(8))
+
+
+class TestRefinement:
+    @staticmethod
+    def uniform_towards(adj, mask, cells):
+        return all(len({(adj[v] & mask).bit_count() for v in cell}) == 1 for cell in cells)
+
+    def test_equitable_and_stable(self):
+        # from the unit partition and from each one-vertex individualisation
+        for g in connected_graphs_upto(6):
+            everything = list(range(g.n))
+            starts = [[everything]]
+            if g.n > 1:
+                starts += [[[v], [u for u in everything if u != v]] for v in everything]
+            for start in starts:
+                inert = set()
+                out = _refine(g.adj, start, inert)
+                assert sorted(v for cell in out for v in cell) == everything
+                masks = [sum(1 << v for v in cell) for cell in out]
+                for mask in masks:
+                    assert self.uniform_towards(g.adj, mask, out), (sorted(g.edges), start, out)
+                # every mask it added, an applied splitter's too, splits nothing
+                for mask in inert:
+                    assert self.uniform_towards(g.adj, mask, out), (sorted(g.edges), start, mask)
+                assert _refine(g.adj, out, set()) == out
+                assert _refine(g.adj, out, inert) == out
+
+    def test_relabel_matches_checked_build(self):
+        rng = random.Random(5)
+        for g in connected_graphs_upto(7):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            position = {old: new for new, old in enumerate(order)}
+            checked = Graph(g.n, [(position[u], position[v]) for u, v in g.edges])
+            fast = _relabel(g.n, g.edges, tuple(order))
+            assert (fast.n, fast.adj, list(fast.edges)) == (checked.n, checked.adj, list(checked.edges))
 
 
 class TestAutomorphisms:

@@ -7,12 +7,14 @@ intended change of output has to update the pinned digest on purpose.
 
 import hashlib
 import json
+import random
 
 from conftest import labelled_graphs
 from phylokit.cli import main
 from phylokit.exact import phylogeny_number_exact
 from phylokit.formulas import phylogeny_number_auto
-from phylokit.generate import connected_graphs, connected_graphs_upto, graph6_encode
+from phylokit.generate import _least_leaf, connected_graphs, connected_graphs_upto, graph6_encode
+from phylokit.graphs import Graph
 from phylokit.sweep import in_k4free_diamond_scope
 from phylokit.witness import construct_gminus_caring, construct_k4free_upper
 
@@ -30,6 +32,12 @@ AUTO_VALUE_N6_DIGEST = "4a6b3aa5c5dd0e120c45bfc899f62c1e16bf10d537f4fbd28e3d06b0
 CONSTRUCTIONS_N7_DIGEST = "3b04948124144a7d13f12113a42b038cc6a2e591a3f3e5cf1916392da5d9681f"
 SOLVER_WITNESS_N6_DIGEST = "d3a03c37f3376e70221e0f589bed9c2eba1ddb90f85fb05223eab422a219f226"
 CONNECTED_N8_DIGEST = "9c399dc9ca82ca18c2f0d8ccf4268ccaa2dacd7d301c21f4364d37e0b727ad6f"
+# list(g.edges) per graph: a set's iteration order follows how it was
+# built, and the identity hash of a ``Graph`` follows that order
+EDGE_ORDER_N8_DIGEST = "dc502ad6ef887977f628932ae393552f53bac77bfd37aac83f8d3b0f87fccd86"
+# (code, order, generators) of the canonical search from the unit
+# partition, on each connected graph with n <= 7 and a relabelled copy
+LABELLING_N7_DIGEST = "31f1ac696b3821fd72b744d5c79cfb1b7ffeb8c66503c96e650990caaa14bb5d"
 
 
 def _digest(lines):
@@ -97,7 +105,24 @@ def test_solver_witnesses_n6_are_pinned():
 def test_connected_n8_is_pinned(labellings):
     # graph6 lines in output order; the same run bounds the labellings,
     # 18,764 with one extension per orbit (26,497 extensions before)
-    lines = [graph6_encode(g) for g in connected_graphs(8)]
+    graphs = connected_graphs(8)
+    lines = [graph6_encode(g) for g in graphs]
     assert len(lines) == 11117
     assert _digest(lines) == CONNECTED_N8_DIGEST
     assert len(labellings) <= 19000
+    assert _digest([json.dumps(list(g.edges)) for g in graphs]) == EDGE_ORDER_N8_DIGEST
+
+
+def test_labellings_n7_are_pinned():
+    rng = random.Random(2026)
+    lines = []
+    graphs = list(connected_graphs_upto(7))
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        copy = Graph(g.n, [(perm[u], perm[v]) for u, v in g.sorted_edges()])
+        for h in (g, copy):
+            code, order, generators = _least_leaf(h.adj, [list(range(h.n))], automorphisms=True)
+            lines.append(json.dumps([code, order, generators]))
+    assert len(graphs) == 996
+    assert _digest(lines) == LABELLING_N7_DIGEST
