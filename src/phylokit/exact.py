@@ -378,7 +378,7 @@ def _canonical_form(graph: Graph) -> tuple[Graph, tuple[int, ...] | None, list[t
     for new, old in enumerate(order):
         position[old] = new
     symmetries = [tuple(position[perm[old]] for old in order) for perm in generators]
-    return _relabel(graph.n, graph.edges, order), order, symmetries
+    return _relabel(graph.adj, order), order, symmetries
 
 
 def phylogeny_number_exact(

@@ -8,7 +8,7 @@ standard tooling without depending on it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ParseError, TooLarge
 from .graphs import Graph, bits, component_masks
@@ -67,16 +67,17 @@ def graph6_decode(line: str) -> Graph:
         if not 0 <= value < 64:
             raise ParseError(f"invalid graph6 character {ch!r}")
         bitstring.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
+    adj = [0] * n
     pos = 0
     for j in range(1, n):
         for i in range(j):
             if bitstring[pos]:
-                edges.append((i, j))
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
             pos += 1
     if any(bitstring[pos:]):
         raise ParseError("graph6 padding bits must be zero")
-    return Graph(n, edges)
+    return Graph._from_adj(tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +259,22 @@ def canonical_labeling(graph: Graph) -> tuple[int, ...]:
     return _labelling(graph)[0]
 
 
-def _relabel(n: int, edges: Iterable[tuple[int, int]], order: tuple[int, ...]) -> Graph:
-    """The graph whose vertex ``i`` is vertex ``order[i]`` of the graph with these edges.
-
-    ``order`` is a permutation and ``edges`` a valid edge set, so the
-    result is built unchecked; its edges are inserted in the order given,
-    as ``Graph(n, ...)`` would insert them.
-    """
-    position = [0] * n
+def _relabel(adj: tuple[int, ...], order: tuple[int, ...]) -> Graph:
+    """The graph whose vertex ``i`` is vertex ``order[i]`` of the graph with these masks."""
+    position = [0] * len(adj)
     for new, old in enumerate(order):
         position[old] = new
-    mapped = []
-    for u, v in edges:
-        a, b = position[u], position[v]
-        mapped.append((a, b) if a < b else (b, a))
-    return Graph._unchecked(n, mapped)
+    rows = []
+    for old in order:
+        row = 0
+        for w in bits(adj[old]):
+            row |= 1 << position[w]
+        rows.append(row)
+    return Graph._from_adj(tuple(rows))
 
 
 def canonical_graph(graph: Graph) -> Graph:
-    return _relabel(graph.n, graph.edges, canonical_labeling(graph))
+    return _relabel(graph.adj, canonical_labeling(graph))
 
 
 def canonical_graph6(graph: Graph) -> str:
@@ -350,12 +348,10 @@ def _levels(n: int) -> Iterator[list[Graph]]:
                 for v in bits(subset):
                     adj[v] |= 1 << k
                 adj.append(subset)
-                code, order, _ = _least_leaf(tuple(adj), [list(range(k + 1))])
+                extension = tuple(adj)
+                code, order, _ = _least_leaf(extension, [list(range(k + 1))])
                 if code not in bigger:
-                    # canonical_graph(extension), edge iteration order included:
-                    # the extension's edges iterate as Graph.__init__ leaves them
-                    edges = frozenset(set([*g.edges, *((v, k) for v in bits(subset))]))
-                    bigger[code] = _relabel(k + 1, edges, order)
+                    bigger[code] = _relabel(extension, order)
         level = [bigger[code] for code in sorted(bigger)]
         yield level
 

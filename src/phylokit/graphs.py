@@ -56,58 +56,60 @@ def _norm_edge(u: int, v: int) -> Edge:
 class Graph:
     """A finite simple undirected graph on vertices ``0..n-1``.
 
-    ``edges`` is a frozenset of ``(u, v)`` pairs with ``u < v``; ``adj[v]``
-    is the neighbourhood of ``v`` as a bitmask.
+    A graph is ``n`` and ``adj``, where ``adj[v]`` is the neighbourhood of
+    ``v`` as a bitmask; equality, hashing, ``m``, ``has_edge``,
+    ``sorted_edges`` and the derived graphs all read the masks.  ``edges``
+    is the frozenset of ``(u, v)`` pairs with ``u < v``, built on its
+    first read by inserting the pairs in ascending order, so it iterates
+    the same way for equal graphs whatever built them.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        norm = set()
         adj = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-            e = _norm_edge(u, v)
-            if e in norm:
-                raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
-            norm.add(e)
+            if adj[u] >> v & 1:
+                a, b = _norm_edge(u, v)
+                raise ValueError(f"duplicate edge ({a},{b})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "_edges", None)
 
     @classmethod
-    def _unchecked(cls, n: int, edges: list[Edge]) -> "Graph":
-        """``Graph(n, edges)`` for distinct in-range ``(u, v)`` pairs with ``u < v``.
-
-        Skips the checks and builds ``edges`` the way ``__init__`` does,
-        inserting in list order, so it iterates the same way.
-        """
-        adj = [0] * n
-        for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+    def _from_adj(cls, adj: tuple[int, ...]) -> "Graph":
+        """The graph with these adjacency masks, which must be symmetric and loop-free."""
         graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "edges", frozenset(set(edges)))
-        object.__setattr__(graph, "adj", tuple(adj))
+        object.__setattr__(graph, "n", len(adj))
+        object.__setattr__(graph, "adj", adj)
+        object.__setattr__(graph, "_edges", None)
         return graph
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @property
+    def edges(self) -> frozenset[Edge]:
+        edges = self._edges
+        if edges is None:
+            edges = frozenset(self.sorted_edges())
+            object.__setattr__(self, "_edges", edges)
+        return edges
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.adj) >> 1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits(self.adj[v]))
@@ -116,7 +118,7 @@ class Graph:
         return self.adj[v].bit_count()
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return [(u, v) for u, row in enumerate(self.adj) for v in bits(row >> (u + 1) << (u + 1))]
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -142,27 +144,29 @@ class Graph:
             if not 0 <= v < self.n:
                 raise UnknownVertex(f"vertex {v} not in 0..{self.n - 1}")
         index = {old: new for new, old in enumerate(keep)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        return Graph(len(keep), edges), keep
+        inside = sum(1 << v for v in keep)
+        rows = []
+        for old in keep:
+            row = 0
+            for w in bits(self.adj[old] & inside):
+                row |= 1 << index[w]
+            rows.append(row)
+        return Graph._from_adj(tuple(rows)), keep
 
     def without_edges(self, drop: Iterable[Edge]) -> "Graph":
-        """Same vertex set with the given edges removed."""
-        gone = {_norm_edge(u, v) for u, v in drop}
-        return Graph(self.n, self.edges - gone)
+        """Same vertex set with the given edges removed; pairs that are no edge are ignored."""
+        adj = list(self.adj)
+        for u, v in drop:
+            if self.has_edge(u, v):
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+        return Graph._from_adj(tuple(adj))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -1,6 +1,8 @@
 """Small-graph generation, canonical forms, graph6 round trips."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -135,7 +137,7 @@ class TestRefinement:
             rng.shuffle(order)
             position = {old: new for new, old in enumerate(order)}
             checked = Graph(g.n, [(position[u], position[v]) for u, v in g.edges])
-            fast = _relabel(g.n, g.edges, tuple(order))
+            fast = _relabel(g.adj, tuple(order))
             assert (fast.n, fast.adj, list(fast.edges)) == (checked.n, checked.adj, list(checked.edges))
 
 
@@ -204,6 +206,26 @@ class TestGeneration:
     def test_cap(self):
         with pytest.raises(TooLarge):
             connected_graphs(9)
+
+    def test_edge_sets_are_left_unbuilt(self):
+        graphs = connected_graphs(7)
+        assert all(g._edges is None for g in graphs)
+        assert graphs[-1].edges == frozenset(graphs[-1].sorted_edges())
+        assert graphs[-1]._edges is not None
+
+    def test_retains_little_per_graph(self):
+        # an eagerly built edge frozenset cost about 1.5 KB per graph at n = 7
+        connected_graphs(3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graphs = connected_graphs(7)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(graphs) == 853
+        assert retained / len(graphs) < 750, retained
 
     def test_contains_catalog_examples(self):
         from phylokit.witness import figure_catalog

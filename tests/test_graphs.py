@@ -7,6 +7,7 @@ import pytest
 
 from conftest import all_digraph_arc_sets, labelled_graphs
 from phylokit.errors import CyclicDigraph, ParseError, UnknownVertex
+from phylokit.generate import _relabel, connected_graphs_upto
 from phylokit.graphs import (
     Digraph,
     Graph,
@@ -72,6 +73,51 @@ class TestGraphType:
     def test_without_edges(self):
         g = cycle_graph(4).without_edges([(1, 0)])
         assert g.m == 3
+        assert g == Graph(4, [(1, 2), (2, 3), (3, 0)])
+        assert cycle_graph(4).without_edges([(0, 2), (0, 9), (-1, 0), (1, 1)]) == cycle_graph(4)
+
+    def test_has_edge_outside_the_vertices(self):
+        g = paw()
+        assert g.has_edge(3, 2) and not g.has_edge(3, 1)
+        assert not any(g.has_edge(u, v) for u, v in [(0, 0), (0, 4), (4, 0), (-1, 0), (0, -1)])
+
+
+class TestEdgesFromMasks:
+    """A graph built from edges and one built from its masks are the same value."""
+
+    @staticmethod
+    def check(from_edges, from_masks):
+        n = from_edges.n
+        assert from_edges == from_masks and hash(from_edges) == hash(from_masks)
+        assert from_edges.m == from_masks.m == len(from_edges.sorted_edges())
+        assert from_edges.sorted_edges() == from_masks.sorted_edges() == sorted(from_masks.edges)
+        for u in range(n):
+            for v in range(n):
+                assert from_edges.has_edge(u, v) == from_masks.has_edge(u, v) == (
+                    (min(u, v), max(u, v)) in from_edges.edges
+                )
+        # the edge set is built on first read, in an order set by the masks
+        assert list(from_edges.edges) == list(from_masks.edges)
+
+    def test_every_labelled_graph(self):
+        rng = random.Random(5)
+        for n in range(6):
+            for g in labelled_graphs(n):
+                edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.sorted_edges()]
+                rng.shuffle(edges)
+                self.check(Graph(n, edges), Graph._from_adj(g.adj))
+
+    def test_connected_graphs_and_relabelled_copies(self):
+        rng = random.Random(2026)
+        for g in connected_graphs_upto(7):
+            edges = g.sorted_edges()
+            rng.shuffle(edges)
+            self.check(Graph(g.n, edges), g)
+            order = list(range(g.n))
+            rng.shuffle(order)
+            position = {old: new for new, old in enumerate(order)}
+            copy = Graph(g.n, [(position[u], position[v]) for u, v in edges])
+            self.check(copy, _relabel(g.adj, tuple(order)))
 
 
 class TestDigraphType:

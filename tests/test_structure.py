@@ -1,5 +1,6 @@
 """Structural census: triangles, diamonds, cliques, covers, symmetry."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -19,6 +20,7 @@ from phylokit.graphs import (
     path_graph,
 )
 from phylokit.structure import (
+    EdgeCliqueTable,
     census,
     edge_clique_cover_number,
     is_vertex_transitive,
@@ -201,6 +203,27 @@ class TestEdgeCliqueCover:
         for g in connected_graphs_upto(6):
             if census(g).t == 0:
                 assert edge_clique_cover_number(g) == g.m
+
+    @staticmethod
+    def greedy_by_clique_tests(table, edge_mask):
+        """The greedy by pairwise clique tests that ``incompatible_count`` must equal."""
+        chosen = []
+        for i in bits(edge_mask):
+            u, v = table.edges[i]
+            ends = (1 << u) | (1 << v)
+            if not any(table.graph.is_clique(ends | other) for other in chosen):
+                chosen.append(ends)
+        return len(chosen)
+
+    def test_incompatible_count_matches_clique_tests(self):
+        rng = random.Random(2026)
+        graphs = list(connected_graphs_upto(7)) + [g for n in range(1, 6) for g in labelled_graphs(n)]
+        for g in graphs:
+            table = EdgeCliqueTable(g)
+            for mask in [table.full] + [rng.getrandbits(g.m) for _ in range(4)]:
+                assert table.incompatible_count(mask) == self.greedy_by_clique_tests(table, mask), (
+                    g.sorted_edges(), mask,
+                )
 
 
 class TestVertexTransitivity:
