@@ -33,19 +33,20 @@ __all__ = [
 
 def underlying_graph(digraph: Digraph) -> Graph:
     """Erase arc directions (defined for cyclic digraphs as well)."""
-    return Graph(digraph.n, {tuple(sorted(a)) for a in digraph.arcs})
+    return Graph._from_adj(tuple(out | inn for out, inn in zip(digraph.out, digraph.inn)))
+
+
+def _competition_masks(digraph: Digraph) -> list[int]:
+    adj = [0] * digraph.n
+    for preds in digraph.inn:
+        for u in bits(preds):
+            adj[u] |= preds & ~(1 << u)
+    return adj
 
 
 def competition_graph(digraph: Digraph) -> Graph:
     """Join every two vertices that have a common out-neighbor."""
-    edges = set()
-    for w in range(digraph.n):
-        preds = digraph.inn[w]
-        for u in bits(preds):
-            rest = preds >> (u + 1) << (u + 1)
-            for v in bits(rest):
-                edges.add((u, v))
-    return Graph(digraph.n, edges)
+    return Graph._from_adj(tuple(_competition_masks(digraph)))
 
 
 def phylogeny_graph(digraph: Digraph) -> Graph:
@@ -57,14 +58,13 @@ def phylogeny_graph(digraph: Digraph) -> Graph:
     """
     if not is_acyclic(digraph):
         raise CyclicDigraph("phylogeny graph requires an acyclic digraph")
-    return Graph(digraph.n, _moral_edges(digraph))
+    return Graph._from_adj(_moral_masks(digraph))
 
 
-def _moral_edges(digraph: Digraph) -> set[Edge]:
-    """Underlying plus competition edges, with no acyclicity check."""
-    edges = {tuple(sorted(a)) for a in digraph.arcs}
-    edges.update(competition_graph(digraph).edges)
-    return edges
+def _moral_masks(digraph: Digraph) -> tuple[int, ...]:
+    """Adjacency masks of the underlying plus competition edges, with no acyclicity check."""
+    adj = _competition_masks(digraph)
+    return tuple(row | out | inn for row, out, inn in zip(adj, digraph.out, digraph.inn))
 
 
 @dataclass(frozen=True)
@@ -131,17 +131,20 @@ def validate_phylogeny_digraph(
         if not 0 <= v < digraph.n:
             raise ValueError(f"base vertex {v} not in the digraph")
 
-    _check_acyclic_and_base(digraph, base_sorted)
-
+    base_mask = _check_acyclic_and_base(digraph, base_sorted)
     to_target = {d: i for i, d in enumerate(order)}
-    realized = {
-        tuple(sorted((to_target[u], to_target[v])))
-        for u, v in _moral_edges(digraph)
-        if u in to_target and v in to_target
-    }
-    if realized != target.edges:
-        for e in sorted(realized ^ target.edges):
-            raise NotInduced(e, missing=e in target.edges)
+    moral = _moral_masks(digraph)
+    realized = []
+    for d in order:
+        row = 0
+        for w in bits(moral[d] & base_mask):
+            row |= 1 << to_target[w]
+        realized.append(row)
+    for u, (row, want) in enumerate(zip(realized, target.adj)):
+        wrong = (row ^ want) >> (u + 1)
+        if wrong:
+            v = u + (wrong & -wrong).bit_length()
+            raise NotInduced((u, v), missing=target.has_edge(u, v))
     return PhyloCertificate(digraph, order, digraph.n - target.n)
 
 

@@ -118,7 +118,14 @@ class Graph:
         return self.adj[v].bit_count()
 
     def sorted_edges(self) -> list[Edge]:
-        return [(u, v) for u, row in enumerate(self.adj) for v in bits(row >> (u + 1) << (u + 1))]
+        edges = []
+        for u, row in enumerate(self.adj):
+            row >>= u + 1
+            while row:
+                low = row & -row
+                edges.append((u, u + low.bit_length()))
+                row ^= low
+        return edges
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1

@@ -175,7 +175,6 @@ class EdgeCliqueTable:
     """
 
     def __init__(self, graph: Graph):
-        self.graph = graph
         self.edges = graph.sorted_edges()
         self.index = {e: i for i, e in enumerate(self.edges)}
         self.full = (1 << len(self.edges)) - 1

@@ -1,5 +1,6 @@
 """Derived-graph operators and certificate validation."""
 
+import random
 import subprocess
 import sys
 
@@ -120,6 +121,33 @@ class TestValidate:
         g = Graph(2, [(0, 1)])
         with pytest.raises(NotAcyclic):
             validate_phylogeny_digraph(Digraph(2, [(0, 1), (1, 0)]), range(2), g)
+
+    def test_reports_the_first_wrong_edge_under_any_order(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            base = rng.sample(range(6), 4)
+            # arcs point from higher to lower ids, and none enters the base from outside
+            arcs = [
+                (t, h) for t in range(6) for h in range(t)
+                if rng.random() < 0.4 and (t in base or h not in base)
+            ]
+            d = Digraph(6, arcs)
+            married = {tuple(sorted(a)) for a in arcs}
+            married |= {(a, b) for w in range(6) for a in bits(d.inn[w]) for b in bits(d.inn[w]) if a < b}
+            position = {v: i for i, v in enumerate(base)}
+            realized = {
+                tuple(sorted((position[a], position[b]))) for a, b in married if a in position and b in position
+            }
+            pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+            target = Graph(4, realized if rng.random() < 0.3 else [e for e in pairs if rng.random() < 0.5])
+            wrong = sorted(realized ^ target.edges)
+            if not wrong:
+                assert validate_phylogeny_digraph(d, base, target, order=base).base == tuple(base)
+                continue
+            with pytest.raises(NotInduced) as info:
+                validate_phylogeny_digraph(d, base, target, order=base)
+            assert info.value.edge == wrong[0]
+            assert info.value.missing == (wrong[0] in target.edges)
 
     def test_base_order_permutation(self):
         # arcs (1, 0): plays edge between target vertices, any order works

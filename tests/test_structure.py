@@ -205,13 +205,13 @@ class TestEdgeCliqueCover:
                 assert edge_clique_cover_number(g) == g.m
 
     @staticmethod
-    def greedy_by_clique_tests(table, edge_mask):
+    def greedy_by_clique_tests(g, table, edge_mask):
         """The greedy by pairwise clique tests that ``incompatible_count`` must equal."""
         chosen = []
         for i in bits(edge_mask):
             u, v = table.edges[i]
             ends = (1 << u) | (1 << v)
-            if not any(table.graph.is_clique(ends | other) for other in chosen):
+            if not any(g.is_clique(ends | other) for other in chosen):
                 chosen.append(ends)
         return len(chosen)
 
@@ -221,7 +221,7 @@ class TestEdgeCliqueCover:
         for g in graphs:
             table = EdgeCliqueTable(g)
             for mask in [table.full] + [rng.getrandbits(g.m) for _ in range(4)]:
-                assert table.incompatible_count(mask) == self.greedy_by_clique_tests(table, mask), (
+                assert table.incompatible_count(mask) == self.greedy_by_clique_tests(g, table, mask), (
                     g.sorted_edges(), mask,
                 )
 
