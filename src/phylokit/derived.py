@@ -37,6 +37,7 @@ def underlying_graph(digraph: Digraph) -> Graph:
 
 
 def _competition_masks(digraph: Digraph) -> list[int]:
+    """Per vertex, the mask of the vertices it shares an out-neighbour with."""
     adj = [0] * digraph.n
     for preds in digraph.inn:
         for u in bits(preds):
