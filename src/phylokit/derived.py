@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 from .errors import ArcIntoBase, ArcRuleViolated, CyclicDigraph, NotAcyclic, NotInduced
 from .graphs import Digraph, Edge, Graph, bits, is_acyclic
-from .structure import triangle_edges
 
 __all__ = [
     "underlying_graph",
@@ -95,9 +94,10 @@ def _check_acyclic_and_base(digraph: Digraph, base: Iterable[int]) -> int:
     base_mask = 0
     for v in base:
         base_mask |= 1 << v
-    for t, h in digraph.sorted_arcs():
-        if not (base_mask >> t) & 1 and (base_mask >> h) & 1:
-            raise ArcIntoBase((t, h))
+    for t, out in enumerate(digraph.out):
+        into_base = out & base_mask
+        if into_base and not base_mask >> t & 1:
+            raise ArcIntoBase((t, (into_base & -into_base).bit_length() - 1))
     return base_mask
 
 
@@ -159,15 +159,14 @@ def cared_edges(digraph: Digraph, base: Iterable[int]) -> dict[Edge, frozenset[i
     induced equality is the caller's concern since no target is passed.
     """
     base_mask = _check_acyclic_and_base(digraph, base)
-    plain = underlying_graph(digraph)
     out: dict[Edge, set[int]] = {}
     for w in range(digraph.n):
         preds = digraph.inn[w] & base_mask
         for u in bits(preds):
+            plain = digraph.out[u] | digraph.inn[u]
             rest = preds >> (u + 1) << (u + 1)
-            for v in bits(rest):
-                if not plain.has_edge(u, v):
-                    out.setdefault((u, v), set()).add(w)
+            for v in bits(rest & ~plain):
+                out.setdefault((u, v), set()).add(w)
     return {e: frozenset(carers) for e, carers in sorted(out.items())}
 
 
@@ -226,11 +225,7 @@ class Assembly:
         return copy
 
     def to_digraph(self) -> Digraph:
-        n = self.n
-        arcs = [(a, w) for w in range(n) for a in bits(self.in_set[w])]
-        for j, members in enumerate(self.extras):
-            arcs.extend((s, n + j) for s in bits(members))
-        return Digraph(n + len(self.extras), arcs)
+        return Digraph._from_inn((*self.in_set, *self.extras))
 
     def certificate(self, target: Graph) -> PhyloCertificate:
         """Validate the assembled digraph against ``target`` on base 0..n-1."""
@@ -251,9 +246,9 @@ def check_nontriangle_edge_arcs(target: Graph, digraph: Digraph, base: Sequence[
     base_mask = 0
     for v in order:
         base_mask |= 1 << v
-    on_triangle = triangle_edges(target)
+    adj = target.adj
     for gu, gv in target.edges:
-        if (gu, gv) in on_triangle:
+        if adj[gu] & adj[gv]:
             continue
         x, y = order[gu], order[gv]
         for a, b in ((x, y), (y, x)):

@@ -10,7 +10,7 @@ construction; every "mutation" builds a new value.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CyclicDigraph, ParseError, UnknownVertex
 
@@ -39,6 +39,7 @@ __all__ = [
 
 Edge = tuple[int, int]
 Arc = tuple[int, int]
+T = TypeVar("T")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -180,19 +181,22 @@ class Graph:
 
 
 class Digraph:
-    """A finite simple directed graph; arcs are ordered ``(tail, head)`` pairs.
+    """A finite simple directed graph on vertices ``0..n-1``.
 
-    Acyclicity is a checked property (see :func:`is_acyclic`), never a
-    construction invariant: the exact solver builds candidates one arc at
-    a time and tests them.
+    A digraph is ``n``, ``out`` and ``inn``, where ``out[v]`` and
+    ``inn[v]`` are the out- and in-neighbourhoods of ``v`` as bitmasks;
+    equality, hashing, ``m``, ``has_arc`` and ``sorted_arcs`` read the
+    masks.  ``arcs`` is the frozenset of ``(tail, head)`` pairs, built on
+    each read.  Acyclicity is a checked property (see :func:`is_acyclic`),
+    never a construction invariant: the exact solver builds candidates
+    one arc at a time and tests them.
     """
 
-    __slots__ = ("n", "arcs", "out", "inn")
+    __slots__ = ("n", "out", "inn")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen = set()
         out = [0] * n
         inn = [0] * n
         for t, h in arcs:
@@ -200,38 +204,49 @@ class Digraph:
                 raise ValueError(f"self-loop at vertex {t}")
             if not (0 <= t < n and 0 <= h < n):
                 raise ValueError(f"arc ({t},{h}) has an endpoint outside 0..{n - 1}")
-            if (t, h) in seen:
+            if out[t] >> h & 1:
                 raise ValueError(f"duplicate arc ({t},{h})")
-            seen.add((t, h))
             out[t] |= 1 << h
             inn[h] |= 1 << t
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", frozenset(seen))
         object.__setattr__(self, "out", tuple(out))
         object.__setattr__(self, "inn", tuple(inn))
+
+    @classmethod
+    def _from_inn(cls, inn: tuple[int, ...]) -> "Digraph":
+        """The digraph with these in-neighbourhood masks, which must be loop-free."""
+        out = [0] * len(inn)
+        for h, tails in enumerate(inn):
+            for t in bits(tails):
+                out[t] |= 1 << h
+        digraph = object.__new__(cls)
+        object.__setattr__(digraph, "n", len(inn))
+        object.__setattr__(digraph, "out", tuple(out))
+        object.__setattr__(digraph, "inn", inn)
+        return digraph
 
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
 
     @property
+    def arcs(self) -> frozenset[Arc]:
+        return frozenset(self.sorted_arcs())
+
+    @property
     def m(self) -> int:
-        return len(self.arcs)
+        return sum(row.bit_count() for row in self.out)
 
     def has_arc(self, t: int, h: int) -> bool:
-        return (t, h) in self.arcs
+        return 0 <= t < self.n and 0 <= h < self.n and bool(self.out[t] >> h & 1)
 
     def sorted_arcs(self) -> list[Arc]:
-        return sorted(self.arcs)
+        return [(t, h) for t, row in enumerate(self.out) for h in bits(row)]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and self.arcs == other.arcs
-        )
+        return isinstance(other, Digraph) and self.out == other.out
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash(self.out)
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.m})"
@@ -380,7 +395,12 @@ def blocks(graph: Graph) -> list[int]:
 # digraph each "u v" line is the arc u->v.
 
 
-def _parse_pairs(text: str, directed: bool) -> tuple[int, list[tuple[int, int]]]:
+def _parse_edge_list(text: str, build: Callable[[int, list[tuple[int, int]]], T]) -> T:
+    """``build(n, pairs)`` on the header's ``n`` and the ``u v`` pairs.
+
+    Only the header and the line shapes are checked here; ``build`` checks
+    the pairs, and its ``ValueError`` becomes a :class:`ParseError`.
+    """
     lines = [
         stripped
         for raw in text.splitlines()
@@ -401,35 +421,26 @@ def _parse_pairs(text: str, directed: bool) -> tuple[int, list[tuple[int, int]]]
     if len(body) != m:
         raise ParseError(f"expected {m} pair lines, found {len(body)}")
     pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for line in body:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            pairs.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise ParseError(f"non-integer pair {line!r}") from exc
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"pair ({u},{v}) outside 0..{n - 1}")
-        key = (u, v) if directed else _norm_edge(u, v)
-        if key in seen:
-            raise ParseError(f"duplicate {'arc' if directed else 'edge'} ({u},{v})")
-        seen.add(key)
-        pairs.append((u, v))
-    return n, pairs
+    try:
+        return build(n, pairs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def parse_graph(text: str) -> Graph:
-    n, pairs = _parse_pairs(text, directed=False)
-    return Graph(n, pairs)
+    return _parse_edge_list(text, Graph)
 
 
 def parse_digraph(text: str) -> Digraph:
-    n, pairs = _parse_pairs(text, directed=True)
-    return Digraph(n, pairs)
+    return _parse_edge_list(text, Digraph)
 
 
 def format_graph(graph: Graph, comment: str | None = None) -> str:

@@ -530,8 +530,7 @@ def restriction_digraph(
     h_mask = 0
     for d in h_dids:
         h_mask |= 1 << d
-    extras = [v for v in range(digraph.n) if v not in set(cert.base)]
-    keep = sorted(h_dids) + extras
+    keep = sorted(h_dids) + list(cert.extras)
     new_id = {old: new for new, old in enumerate(keep)}
     d_to_target = {d: v for v, d in zip(h_sorted, h_dids)}
 

@@ -20,6 +20,8 @@ from phylokit.derived import (
     validate_phylogeny_digraph,
 )
 from phylokit.errors import ArcIntoBase, ArcRuleViolated, CyclicDigraph, NotAcyclic, NotInduced
+from phylokit.exact import phylogeny_number_exact
+from phylokit.generate import connected_graphs_upto
 from phylokit.graphs import Digraph, Graph, bits, is_acyclic
 from phylokit.witness import figure_catalog
 
@@ -117,6 +119,24 @@ class TestValidate:
             validate_phylogeny_digraph(d, range(2), g)
         assert info.value.arc == (2, 0)
 
+    def test_arc_into_base_names_the_first_arc(self):
+        rng = random.Random(24)
+        several = 0
+        for _ in range(300):
+            base = rng.sample(range(6), 3)
+            arcs = [(t, h) for t in range(6) for h in range(t) if rng.random() < 0.4]
+            entering = sorted((t, h) for t, h in arcs if t not in base and h in base)
+            several += len(entering) > 1
+            try:
+                validate_phylogeny_digraph(Digraph(6, arcs), base, Graph(3))
+            except ArcIntoBase as exc:
+                assert exc.arc == entering[0]
+            except NotInduced:
+                assert not entering
+            else:
+                assert not entering
+        assert several > 100
+
     def test_not_acyclic(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(NotAcyclic):
@@ -170,6 +190,27 @@ class TestCaredEdges:
     def test_underlying_edge_excluded(self):
         d = Digraph(3, [(0, 2), (1, 2), (0, 1)])
         assert cared_edges(d, {0, 1}) == {}
+
+
+class TestAssembly:
+    def test_to_digraph_matches_the_arc_list(self, monkeypatch):
+        built = []
+        original = Assembly.to_digraph
+
+        def recorded(asm):
+            digraph = original(asm)
+            built.append((asm.n, list(asm.in_set), list(asm.extras), digraph))
+            return digraph
+
+        monkeypatch.setattr(Assembly, "to_digraph", recorded)
+        for g in connected_graphs_upto(6):
+            phylogeny_number_exact(g)
+        assert len(built) == 143
+        for n, in_set, extras, digraph in built:
+            arcs = [(a, w) for w in range(n) for a in bits(in_set[w])]
+            arcs += [(s, n + j) for j, members in enumerate(extras) for s in bits(members)]
+            assert digraph == Digraph(n + len(extras), arcs)
+            assert digraph.sorted_arcs() == sorted(arcs)
 
 
 class TestNormalization:

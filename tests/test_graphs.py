@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import all_digraph_arc_sets, labelled_graphs
+from conftest import all_digraph_arc_sets, labelled_graphs, random_certificate
 from phylokit.errors import CyclicDigraph, ParseError, UnknownVertex
 from phylokit.generate import _relabel, connected_graphs_upto
 from phylokit.graphs import (
@@ -129,6 +129,32 @@ class TestDigraphType:
     def test_rejects_duplicate_arc(self):
         with pytest.raises(ValueError):
             Digraph(3, [(0, 1), (0, 1)])
+
+    @staticmethod
+    def check_from_inn(n, arcs):
+        """A digraph built from arcs and one built from its in-masks agree."""
+        built = Digraph(n, arcs)
+        from_masks = Digraph._from_inn(built.inn)
+        assert from_masks == built and hash(from_masks) == hash(built)
+        assert from_masks.m == built.m == len(arcs)
+        assert from_masks.sorted_arcs() == built.sorted_arcs() == sorted(arcs)
+        assert from_masks.arcs == built.arcs == frozenset(arcs)
+        for t in range(-1, n + 1):
+            for h in range(-1, n + 1):
+                assert from_masks.has_arc(t, h) == built.has_arc(t, h) == ((t, h) in arcs)
+
+    def test_masks_agree_with_arcs_on_every_small_digraph(self):
+        for n in range(4):
+            for arcs in all_digraph_arc_sets(n):
+                self.check_from_inn(n, arcs)
+
+    def test_masks_agree_with_arcs_on_random_certificates(self):
+        rng = random.Random(24)
+        for _ in range(200):
+            digraph, _ = random_certificate(rng)
+            arcs = digraph.sorted_arcs()
+            rng.shuffle(arcs)
+            self.check_from_inn(digraph.n, arcs)
 
 
 class TestAcyclicity:
@@ -295,20 +321,29 @@ class TestEdgeListFormat:
         assert parse_digraph(format_digraph(d, trailing="base 0..5")) == d
 
     @pytest.mark.parametrize(
-        "text",
+        "text, parse",
         [
-            "",
-            "2\n",
-            "2 1\n0 0\n",
-            "2 1\n0 3\n",
-            "2 2\n0 1\n1 0\n",
-            "2 2\n0 1\n",
-            "2 1\nnope 1\n",
+            *(
+                pytest.param(text, parse_graph, id=text)
+                for text in (
+                    "",
+                    "2\n",
+                    "2 1\n0 0\n",
+                    "2 1\n0 3\n",
+                    "2 2\n0 1\n1 0\n",
+                    "2 2\n0 1\n",
+                    "2 1\nnope 1\n",
+                )
+            ),
+            *(
+                pytest.param(text, parse_digraph, id=f"digraph {text}")
+                for text in ("2 1\n1 1\n", "2 1\n1 2\n", "2 2\n0 1\n0 1\n")
+            ),
         ],
     )
-    def test_rejects_malformed(self, text):
+    def test_rejects_malformed(self, text, parse):
         with pytest.raises(ParseError):
-            parse_graph(text)
+            parse(text)
 
     def test_digraph_allows_antiparallel_arcs(self):
         d = parse_digraph("2 2\n0 1\n1 0\n")
