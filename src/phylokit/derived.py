@@ -239,15 +239,16 @@ def check_nontriangle_edge_arcs(target: Graph, digraph: Digraph, base: Sequence[
     the target: (a) if the arc (x, y) is present then x is the only base
     in-neighbor of y, and (b) any common out-neighbor of x and y is an
     extra vertex whose base in-neighbors are exactly {x, y}.  Violations
-    raise :class:`ArcRuleViolated`; this is used as a structural audit on
-    solver and construction output.
+    raise :class:`ArcRuleViolated`, naming the first bad edge in sorted
+    order; this is used as a structural audit on solver and construction
+    output.
     """
     order = tuple(base)
     base_mask = 0
     for v in order:
         base_mask |= 1 << v
     adj = target.adj
-    for gu, gv in target.edges:
+    for gu, gv in target.sorted_edges():
         if adj[gu] & adj[gv]:
             continue
         x, y = order[gu], order[gv]

@@ -109,11 +109,12 @@ class _HeadSearch:
     down a branch, v has no out-arc (``desc[v]`` is empty) at this
     node.  Each uncovered edge at v then lies in a fresh extra's clique
     through v or, when the head joins its clique, in v's own closed
-    in-set (``slack`` = 1).  A vertex with no more uncovered edges than
-    the extras left plus ``slack`` passes at once.  Otherwise uncovered
-    neighbours of v that are pairwise non-adjacent need distinct
-    cliques, so when a greedy count of them exceeds that for every such
-    v, no completion exists and the node is cut.
+    in-set (``slack`` = 1).  Two edges at v lie in a common clique iff
+    their other ends are adjacent, so edges at v that pairwise share no
+    clique need distinct cliques; when the clique table's greedy count
+    of them (:meth:`EdgeCliqueTable.incompatible_count` on v's uncovered
+    edges) exceeds the extras left plus ``slack`` for every such v, no
+    completion exists and the node is cut.
 
     ``symmetries`` are automorphisms of the graph (``perm[v]`` is the
     image of v), usually generators of its group.  Each node carries
@@ -140,7 +141,6 @@ class _HeadSearch:
         symmetries: Sequence[Sequence[int]] = (),
         fail_first: bool = False,
     ):
-        self.graph = graph
         self.fail_first = fail_first
         self.deadline: float | None = None  # set by deepen; run alone has none
         self.n = n = graph.n
@@ -150,9 +150,12 @@ class _HeadSearch:
         # per edge: (head, head bit, tails to add, head bit if it joins the
         # clique, the tails together with every vertex adjacent to all of
         # them, the move's orbit key: the tails plus the head bit shifted
-        # past n)
+        # past n); and per vertex, for the sink bound, the mask of its edges
         self.head_moves: list[list[tuple[int, int, int, int, int, int]]] = []
-        for u, v in table.edges:
+        self.incident_mask = incident_mask = [0] * n
+        for i, (u, v) in enumerate(table.edges):
+            incident_mask[u] |= 1 << i
+            incident_mask[v] |= 1 << i
             bu, bv = 1 << u, 1 << v
             euv = bu | bv
             both = euv | (adj[u] & adj[v])
@@ -167,16 +170,6 @@ class _HeadSearch:
                     add, fits = euv, both
                 moves.append((h, hb, add, hb if head_joins else 0, fits, add | hb << n))
             self.head_moves.append(moves)
-        # for the sink bound: per vertex, its edges as (edge bit, other end)
-        # and their mask
-        self.incident = incident = [[] for _ in range(n)]
-        self.incident_mask = incident_mask = [0] * n
-        for i, (u, v) in enumerate(table.edges):
-            eb = 1 << i
-            incident[u].append((eb, v))
-            incident[v].append((eb, u))
-            incident_mask[u] |= eb
-            incident_mask[v] |= eb
         self.slack = 1 if head_joins else 0
         # each symmetry acts on vertex masks and, through the copy shifted
         # past n, on the head bits of the move keys; it is kept with the
@@ -199,18 +192,17 @@ class _HeadSearch:
             if self.run(budget):
                 return budget
             budget += 1
-            if budget > self.graph.m:
+            if budget > len(self.table.edges):
                 raise CrossCheckFailed("deepening exceeded the trivial upper bound")
 
     def run(self, budget: int) -> bool:
         """One depth-first pass at ``budget``; its state is ``self.assembly``."""
         n = self.n
-        adj = self.graph.adj
         all_covered = self.table.full
         pairs_mask = self.table.pairs_mask
         cliques_on = self.table.cliques_on
         head_moves = self.head_moves
-        incident = self.incident
+        incompatible_count = self.table.incompatible_count
         incident_mask = self.incident_mask
         slack = self.slack
         deadline = self.deadline
@@ -251,19 +243,7 @@ class _HeadSearch:
         def some_sink_fits(remaining: int, desc: list[int]) -> bool:
             spare = budget - len(extras) + slack
             for v in range(n):
-                if desc[v]:
-                    continue
-                if (remaining & incident_mask[v]).bit_count() <= spare:
-                    return True
-                picked = 0
-                count = 0
-                for eb, w in incident[v]:
-                    if remaining & eb and not adj[w] & picked:
-                        picked |= 1 << w
-                        count += 1
-                        if count > spare:
-                            break
-                else:
+                if not desc[v] and incompatible_count(remaining & incident_mask[v]) <= spare:
                     return True
             return False
 

@@ -375,8 +375,8 @@ def decompose_equal(graph: Graph, parts: Sequence[Subgraph]) -> PhyloResult:
         if overlap:
             raise ConditionViolated("i", f"part {idx} reuses edges {sorted(overlap)}")
         seen_edges |= part.edges
-    if seen_edges != graph.edges:
-        missing = sorted(graph.edges - seen_edges)
+    missing = [e for e in graph.sorted_edges() if e not in seen_edges]
+    if missing:
         raise ConditionViolated("i", f"edges {missing} belong to no part", detail=missing)
 
     for mask in blocks(graph):
@@ -510,15 +510,11 @@ def difference_family(l: int, verify_k: bool = False) -> tuple[Graph, PhyloResul
         grid = grid_2xk(l + 1)
         grid_n = grid.n
         clique_members = [0] + list(range(grid_n, grid_n + l + 1))
-        edges = list(grid.edges)
-        for i, u in enumerate(clique_members):
-            for v in clique_members[i + 1:]:
-                edges.append((u, v))
-        graph = Graph(grid_n + l + 1, edges)
-        clique_part = Subgraph.from_edges(
-            (u, v) for i, u in enumerate(clique_members) for v in clique_members[i + 1:]
-        )
-        grid_part = Subgraph.from_edges(grid.edges)
+        grid_edges = grid.sorted_edges()
+        clique_edges = [(u, v) for i, u in enumerate(clique_members) for v in clique_members[i + 1:]]
+        graph = Graph(grid_n + l + 1, grid_edges + clique_edges)
+        clique_part = Subgraph.from_edges(clique_edges)
+        grid_part = Subgraph.from_edges(grid_edges)
         p_result = decompose_equal(graph, [clique_part, grid_part])
         k = 1
         if verify_k:

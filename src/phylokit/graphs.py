@@ -60,12 +60,12 @@ class Graph:
     A graph is ``n`` and ``adj``, where ``adj[v]`` is the neighbourhood of
     ``v`` as a bitmask; equality, hashing, ``m``, ``has_edge``,
     ``sorted_edges`` and the derived graphs all read the masks.  ``edges``
-    is the frozenset of ``(u, v)`` pairs with ``u < v``, built on its
-    first read by inserting the pairs in ascending order, so it iterates
-    the same way for equal graphs whatever built them.
+    is the frozenset of ``(u, v)`` pairs with ``u < v``, built on each
+    read by inserting the pairs in ascending order, so it iterates the
+    same way for equal graphs whatever built them.
     """
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -83,7 +83,6 @@ class Graph:
             adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "_edges", None)
 
     @classmethod
     def _from_adj(cls, adj: tuple[int, ...]) -> "Graph":
@@ -91,7 +90,6 @@ class Graph:
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", len(adj))
         object.__setattr__(graph, "adj", adj)
-        object.__setattr__(graph, "_edges", None)
         return graph
 
     def __setattr__(self, name, value):
@@ -99,11 +97,7 @@ class Graph:
 
     @property
     def edges(self) -> frozenset[Edge]:
-        edges = self._edges
-        if edges is None:
-            edges = frozenset(self.sorted_edges())
-            object.__setattr__(self, "_edges", edges)
-        return edges
+        return frozenset(self.sorted_edges())
 
     @property
     def m(self) -> int:

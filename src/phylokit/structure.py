@@ -171,7 +171,9 @@ class EdgeCliqueTable:
     vertex mask.  The edge clique cover search and the head-assignment
     search both branch on these lists.  ``co_clique[i]`` is the edge mask
     of every edge in a common clique with edge ``i``, itself included:
-    the union of the edge masks in ``cliques_on[i]``.
+    the union of the edge masks in ``cliques_on[i]``.  Both searches bound
+    with :meth:`incompatible_count`: the cover search on every uncovered
+    edge, the head search's sink bound on a vertex's uncovered edges.
     """
 
     def __init__(self, graph: Graph):

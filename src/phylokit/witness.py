@@ -11,6 +11,7 @@ and the restriction of an arbitrary certificate to a well-separated subgraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .derived import Assembly, PhyloCertificate, validate_phylogeny_digraph
@@ -73,7 +74,7 @@ class Subgraph:
             if not 0 <= v < host.n:
                 raise ValueError(f"subgraph vertex {v} outside the host graph")
         for e in self.edges:
-            if e not in host.edges:
+            if not host.has_edge(*e):
                 raise ValueError(f"subgraph edge {e} is not a host edge")
 
     def to_graph(self) -> tuple[Graph, list[int]]:
@@ -142,22 +143,23 @@ def _spanning_forest(asm: Assembly, graph: Graph, within: int) -> None:
     component, lowest vertex first: a breadth-first spanning tree rooted
     at the component's lowest vertex, neighbours taken in ascending
     order, each tree edge an arc from parent to child; then one caring
-    extra per non-tree edge, in sorted edge order.  Ids are ``graph``'s.
+    extra per non-tree edge, in sorted edge order.  Ids are ``graph``'s,
+    and ``asm`` must hold no arcs on ``within`` yet, so the tree edges are
+    the arcs written here.
     """
     adj = graph.adj
+    in_set = asm.in_set
     for comp in component_masks(adj, within):
         seen = comp & -comp
         queue = [seen.bit_length() - 1]
-        tree: set[Edge] = set()
         for v in queue:
             for w in bits(adj[v] & comp & ~seen):
                 seen |= 1 << w
-                asm.in_set[w] |= 1 << v
-                tree.add((v, w) if v < w else (w, v))
+                in_set[w] |= 1 << v
                 queue.append(w)
         for u in bits(comp):
             for v in bits(adj[u] & comp & ~((2 << u) - 1)):
-                if (u, v) not in tree:
+                if not (in_set[v] >> u & 1 or in_set[u] >> v & 1):
                     asm.new_extra((1 << u) | (1 << v))
 
 
@@ -273,30 +275,29 @@ def _check_sole_arc(asm: Assembly, tail: int, head: int) -> None:
     _check(asm.in_set[head] == 1 << tail, "an edge on no triangle must be its head's only in-arc")
 
 
-def _extra_carers(asm: Assembly, a: int, b: int) -> list[int]:
-    need = (1 << a) | (1 << b)
-    return [j for j, m in enumerate(asm.extras) if m & need == need]
+def _carers(asm: Assembly, a: int, b: int) -> list[int]:
+    """The vertices whose in-sets hold a and b: base ids, then extra j as n + j.
 
-
-def _base_carers(asm: Assembly, a: int, b: int) -> list[int]:
+    No in-set holds its own vertex, so neither a nor b is among them.
+    """
     need = (1 << a) | (1 << b)
-    return [h for h in range(asm.n) if h != a and h != b and asm.in_set[h] & need == need]
+    return [i for i, m in enumerate((*asm.in_set, *asm.extras)) if m & need == need]
 
 
 def _is_cared(asm: Assembly, a: int, b: int) -> bool:
     if _has_arc(asm, a, b) or _has_arc(asm, b, a):
         return False
-    return bool(_extra_carers(asm, a, b) or _base_carers(asm, a, b))
+    return bool(_carers(asm, a, b))
 
 
 def _cared_extra(asm: Assembly, a: int, b: int) -> int:
     """The extra caring for the cared edge ab, which lies on no triangle."""
-    carers = _extra_carers(asm, a, b)
+    carers = _carers(asm, a, b)
     _check(
-        bool(carers) and not _base_carers(asm, a, b),
+        bool(carers) and carers[0] >= asm.n,
         "an edge on no triangle must be cared for by an extra vertex",
     )
-    j = carers[0]
+    j = carers[0] - asm.n
     _check(
         asm.extras[j] == (1 << a) | (1 << b),
         "an extra caring for an edge on no triangle has only its ends",
@@ -310,64 +311,72 @@ def _intact(adj: tuple[int, ...], within: int, vertices: Sequence[int], edges: i
     return not mask & ~within and sum((adj[v] & mask).bit_count() for v in vertices) == 2 * edges
 
 
-def _build_upper(graph: Graph, report: StructureReport, within: int, asm: Assembly, steps: list[dict]) -> None:
-    """Recursive proof-following construction on the component ``within``.
+def _build_upper(graph: Graph, report: StructureReport, asm: Assembly, steps: list[dict]) -> None:
+    """Proof-following construction, one component level at a time.
 
-    ``graph`` is the input less the edges deleted so far and ``report``
-    is the input's census.  The input is K4-free with edge-disjoint
-    diamonds, so deleting edges creates no triangle or diamond: those
-    left are the census's that lie in ``within`` with all their edges.
+    ``report`` is the input's census.  Each level is a component
+    ``within`` of ``graph``, the input less the edges deleted so far.  The
+    input is K4-free with edge-disjoint diamonds, so deleting edges
+    creates no triangle or diamond: those left are the census's that lie
+    in ``within`` with all their edges.  A level that deletes edges puts
+    its repair on the work stack, then the smaller levels above it, so
+    the steps come out in the order of a recursion without one, however
+    many triangles there are.
     """
-    adj = graph.adj
-    diamond = next((dm for dm in report.diamond_list if _intact(adj, within, dm[0], 5)), None)
-    if diamond is not None:
-        quad, (x, z) = diamond
-        y, w = sorted(set(quad) - {x, z})
-        deleted = [(x, z), tuple(sorted((y, z))), tuple(sorted((w, z)))]
-        g_star = graph.without_edges(deleted)
-        _check(
-            not g_star.adj[x] & (g_star.adj[y] | g_star.adj[w]),
-            "a rim edge at x still lies on a triangle",
-        )
-        _record(
-            asm, steps, op="remove-diamond-center-edges", diamond=list(quad),
-            shared_edge=[x, z], deleted=[list(e) for e in deleted],
-        )
-        comps = component_masks(g_star.adj, within)
-        if len(comps) == 2:
-            comp_x, comp_z = comps if comps[0] >> x & 1 else reversed(comps)
+    work: list = [(graph, graph.vertex_mask())]
+    while work:
+        item = work.pop()
+        if isinstance(item, partial):
+            item()
+            continue
+        graph, within = item
+        adj = graph.adj
+        diamond = next((dm for dm in report.diamond_list if _intact(adj, within, dm[0], 5)), None)
+        if diamond is not None:
+            quad, (x, z) = diamond
+            y, w = sorted(set(quad) - {x, z})
+            deleted = [(x, z), tuple(sorted((y, z))), tuple(sorted((w, z)))]
+            g_star = graph.without_edges(deleted)
             _check(
-                comp_z >> z & comp_x >> y & comp_x >> w & 1,
-                "the rim must stay on x's side when the diamond splits the graph",
+                not g_star.adj[x] & (g_star.adj[y] | g_star.adj[w]),
+                "a rim edge at x still lies on a triangle",
             )
-            for comp in (comp_x, comp_z):
-                _build_upper(g_star, report, comp, asm, steps)
-            _repair_diamond(asm, steps, x, y, z, w, new_vertex_allowed=False)
-        else:
-            _check(len(comps) == 1, "deleting the center edges left over two components")
-            _build_upper(g_star, report, within, asm, steps)
-            _repair_diamond(asm, steps, x, y, z, w, new_vertex_allowed=True)
-        return
+            _record(
+                asm, steps, op="remove-diamond-center-edges", diamond=list(quad),
+                shared_edge=[x, z], deleted=[list(e) for e in deleted],
+            )
+            comps = component_masks(g_star.adj, within)
+            _check(len(comps) <= 2, "deleting the center edges left over two components")
+            if len(comps) == 2:
+                comp_x, comp_z = comps if comps[0] >> x & 1 else reversed(comps)
+                _check(
+                    comp_z >> z & comp_x >> y & comp_x >> w & 1,
+                    "the rim must stay on x's side when the diamond splits the graph",
+                )
+                comps = [comp_x, comp_z]
+            work.append(partial(_repair_diamond, asm, steps, x, y, z, w, new_vertex_allowed=len(comps) == 1))
+            work += [(g_star, comp) for comp in reversed(comps)]  # comp_x on top
+            continue
 
-    triangle = next((tr for tr in report.triangle_list if _intact(adj, within, tr, 3)), None)
-    if triangle is None:
-        part = Assembly(asm.n)
-        _spanning_forest(part, graph, within)
-        first = len(asm.extras)
-        _record(
-            asm, steps, op="triangle-free-base", vertices=list(bits(within)),
-            in_arcs=sorted((t, h) for h in bits(within) for t in bits(part.in_set[h])),
-            extras=[(first + j, list(bits(members))) for j, members in enumerate(part.extras)],
-        )
-        return
+        triangle = next((tr for tr in report.triangle_list if _intact(adj, within, tr, 3)), None)
+        if triangle is None:
+            part = Assembly(asm.n)
+            _spanning_forest(part, graph, within)
+            first = len(asm.extras)
+            _record(
+                asm, steps, op="triangle-free-base", vertices=list(bits(within)),
+                in_arcs=sorted((t, h) for h in bits(within) for t in bits(part.in_set[h])),
+                extras=[(first + j, list(bits(members))) for j, members in enumerate(part.extras)],
+            )
+            continue
 
-    # no diamond, at least one triangle: delete the smallest triangle edge,
-    # the first two vertices of the first triangle
-    u, v, w = triangle
-    _check(adj[u] & adj[v] == 1 << w, "edge on two triangles in a diamond-free graph")
-    _record(asm, steps, op="remove-triangle-edge", edge=[u, v], triangle=list(triangle))
-    _build_upper(graph.without_edges([(u, v)]), report, within, asm, steps)
-    _repair_triangle(asm, steps, u, v, w)
+        # no diamond, at least one triangle: delete the smallest triangle
+        # edge, the first two vertices of the first triangle
+        u, v, w = triangle
+        _check(adj[u] & adj[v] == 1 << w, "edge on two triangles in a diamond-free graph")
+        _record(asm, steps, op="remove-triangle-edge", edge=[u, v], triangle=list(triangle))
+        work.append(partial(_repair_triangle, asm, steps, u, v, w))
+        work.append((graph.without_edges([(u, v)]), within))
 
 
 def _repair_triangle(asm: Assembly, steps: list[dict], u: int, v: int, w: int) -> None:
@@ -468,14 +477,14 @@ def construct_k4free_upper(graph: Graph) -> ConstructionTrace:
     Follows the proof shape: while a triangle remains, delete either a
     diamond's three center edges or a lone triangle edge, build a
     certificate for the smaller graph, and repair the deleted edges
-    within the allotted budget.  Once no triangle remains the recursion
-    ends in the spanning-tree construction, so nothing here searches.
+    within the allotted budget.  Once no triangle remains a level ends
+    in the spanning-tree construction, so nothing here searches.
     Every level works in the input's ids on the input's one census.
     """
     report = sandwich_census(graph)
     asm = Assembly(graph.n)
     steps: list[dict] = []
-    _build_upper(graph, report, graph.vertex_mask(), asm, steps)
+    _build_upper(graph, report, asm, steps)
     cert = asm.certificate(graph)
     bound = graph.m - graph.n - report.t + 1
     _check(

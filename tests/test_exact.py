@@ -330,6 +330,23 @@ class TestOrbitPruning:
                 assert all(searched.has_edge(sym[u], sym[v]) for u, v in searched.edges), (h, sym)
 
 
+class TestNodeTotals:
+    """The number of nodes both searches visit, as the solvers set them up."""
+
+    def test_phylogeny_up_to_six_vertices(self, node_depths):
+        for g in connected_graphs_upto(6):
+            phylogeny_number_exact(g, want_witness=False, deadline=1e9)
+        assert len(node_depths) == 4557
+
+    def test_competition_up_to_six_vertices_with_a_triangle(self, node_depths):
+        for g in connected_graphs_upto(6):
+            if census(g).t:
+                searched, _, symmetries = exact._canonical_form(g)
+                search = _HeadSearch(searched, head_joins=False, symmetries=symmetries, fail_first=True)
+                search.deepen(exact._competition_start(g, search.table), deadline=1e9)
+        assert len(node_depths) == 1578
+
+
 class TestRunAlone:
     """``run`` on a fresh search, without ``deepen`` setting a deadline first."""
 

@@ -225,6 +225,24 @@ class TestEdgeCliqueCover:
                     g.sorted_edges(), mask,
                 )
 
+    def test_incompatible_count_at_a_vertex_counts_non_adjacent_ends(self):
+        # the head search's sink bound: two edges at v share a clique iff
+        # their other ends are adjacent, so on edges at v the count is the
+        # greedy count of pairwise non-adjacent other ends, in edge order
+        for g in connected_graphs_upto(6):
+            table = EdgeCliqueTable(g)
+            for v in range(g.n):
+                at_v = [i for i, e in enumerate(table.edges) if v in e]
+                for size in range(len(at_v) + 1):
+                    for subset in combinations(at_v, size):
+                        counted = []
+                        for i in subset:
+                            w = sum(table.edges[i]) - v
+                            if not any(g.has_edge(w, x) for x in counted):
+                                counted.append(w)
+                        mask = sum(1 << i for i in subset)
+                        assert table.incompatible_count(mask) == len(counted), (g.sorted_edges(), v, subset)
+
 
 class TestVertexTransitivity:
     def test_complete(self):

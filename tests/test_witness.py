@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -190,6 +191,29 @@ class TestUpperConstruction:
         cert = construct_k4free_upper(g).certificate
         assert time.process_time() - started < 1.5
         assert cert.extra_count <= g.m - g.n - census(g).t + 1 == 1
+
+    @pytest.mark.parametrize("shape", ["triangle-ring", "diamond-necklace"])
+    def test_stack_depth_does_not_grow_with_the_graph(self, shape):
+        # a construction recursing once per triangle or diamond overflowed
+        # the interpreter's stack on a ring of 1,000 triangles; here a
+        # limit 100 frames above the caller's leaves no room for that
+        if shape == "triangle-ring":
+            t = 150  # cycle edge (i, i + 1) plus apex t + i
+            g = Graph(2 * t, [e for i in range(t) for e in ((i, (i + 1) % t), (i, t + i), ((i + 1) % t, t + i))])
+        else:
+            g = diamond_necklace(120)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            cert = construct_k4free_upper(g).certificate
+        finally:
+            sys.setrecursionlimit(limit)
+        validate_phylogeny_digraph(cert.digraph, cert.base, g)
+        assert cert.extra_count <= g.m - g.n - census(g).t + 1
 
     @pytest.mark.parametrize("k", [4, 8])
     def test_diamond_necklace_meets_the_upper_end(self, k):
