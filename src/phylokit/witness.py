@@ -73,9 +73,9 @@ class Subgraph:
         for v in self.vertices:
             if not 0 <= v < host.n:
                 raise ValueError(f"subgraph vertex {v} outside the host graph")
-        for e in self.edges:
-            if not host.has_edge(*e):
-                raise ValueError(f"subgraph edge {e} is not a host edge")
+        for u, v in self.edges:
+            if not (u < v and host.has_edge(u, v)):
+                raise ValueError(f"subgraph edge {(u, v)} is not a host edge")
 
     def to_graph(self) -> tuple[Graph, list[int]]:
         order = sorted(self.vertices)

@@ -270,6 +270,18 @@ class TestDecompositionBound:
             lower_bound_decomposition(g, [part, part])
         assert info.value.condition == "i"
 
+    def test_reversed_pair_rejected(self):
+        # the same C4 twice, once as (v, u) pairs: no overlap by tuple, so
+        # only the orientation check stops it counting p(C4) twice
+        g = cycle_graph(4)
+        edges = frozenset(g.sorted_edges())
+        parts = [
+            Subgraph(frozenset(range(4)), edges),
+            Subgraph(frozenset(range(4)), frozenset((v, u) for u, v in edges)),
+        ]
+        with pytest.raises(ValueError, match="not a host edge"):
+            lower_bound_decomposition(g, parts)
+
     def test_non_maximal_clique_rejected(self):
         g = complete_graph(3)
         part = Subgraph.from_edges([(0, 1)])
@@ -475,6 +487,17 @@ class TestDecomposeEqual:
         with pytest.raises(ConditionViolated) as info:
             decompose_equal(g, [Subgraph.from_edges([(2, 4), (2, 5), (4, 5)])])
         assert info.value.condition == "i"
+
+    def test_reversed_pair_rejected(self):
+        # one C4 as (u, v) pairs and one as (v, u) pairs would sum p(C4) twice
+        g = cycle_graph(4)
+        edges = frozenset(g.sorted_edges())
+        parts = [
+            Subgraph(frozenset(range(4)), edges),
+            Subgraph(frozenset(range(4)), frozenset((v, u) for u, v in edges)),
+        ]
+        with pytest.raises(ValueError, match="not a host edge"):
+            decompose_equal(g, parts)
 
     def test_cycle_split_across_parts_rejected(self):
         g = cycle_graph(4)

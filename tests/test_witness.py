@@ -227,6 +227,16 @@ class TestUpperConstruction:
             assert cert.extra_count == budget
 
 
+class TestSubgraph:
+    def test_check_within_takes_host_edges_as_u_less_than_v(self):
+        g = cycle_graph(4)
+        Subgraph(frozenset({0, 1}), frozenset({(0, 1)})).check_within(g)
+        with pytest.raises(ValueError, match="not a host edge"):
+            Subgraph(frozenset({0, 1}), frozenset({(1, 0)})).check_within(g)
+        with pytest.raises(ValueError, match="not a host edge"):
+            Subgraph.from_edges([(0, 2)]).check_within(g)
+
+
 class TestRestriction:
     def test_whole_graph(self):
         g = figure_catalog("fig1_G")
