@@ -263,7 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("sweep", help="verify all claims over all small connected graphs")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument(
+        "--max-n",
+        type=int,
+        required=True,
+        help="largest vertex count to generate; with --graph6 it filters no lines "
+        f"and only raises the solver cap above {SOLVER_CAP_DEFAULT}",
+    )
     p.add_argument("--graph6", metavar="FILE", help="read graph6 lines from FILE ('-' = stdin)")
     p.add_argument(
         "--only-k4free-diamond-scope",

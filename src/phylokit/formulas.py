@@ -30,6 +30,7 @@ from .exact import (
     phylogeny_number_exact,
 )
 from .graphs import (
+    Edge,
     Graph,
     bits,
     blocks,
@@ -44,11 +45,12 @@ from .structure import (
     census,
     edge_clique_cover_number,
     is_vertex_transitive,
+    maximal_cliques,
     sandwich_census,
 )
 from .witness import (
     Subgraph,
-    check_subgraph_clique_conditions,
+    _check_clique_clauses,
     construct_gminus_caring,
     construct_k4free_upper,
 )
@@ -196,9 +198,22 @@ def lower_bound_clique_cover(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> Phy
 # Decomposition machinery.
 
 
-def _part_value(part: Subgraph) -> int:
-    part_graph, _ = part.to_graph()
-    return phylogeny_number_auto(part_graph).value
+def _check_parts(graph: Graph, parts: Sequence[Subgraph]) -> set[Edge]:
+    """Check that every part lies in the host and no two share an edge.
+
+    Returns the union of the parts' edges.  Raises
+    :class:`ConditionViolated` with code "i", naming the first part that
+    shares an edge with an earlier one and holding the shared edges as
+    ``detail``.
+    """
+    union: set[Edge] = set()
+    for idx, part in enumerate(parts):
+        part.check_within(graph)
+        shared = sorted(union & part.edges)
+        if shared:
+            raise ConditionViolated("i", f"part {idx} shares edges {shared} with an earlier part", detail=shared)
+        union |= part.edges
+    return union
 
 
 def lower_bound_decomposition(graph: Graph, parts: Sequence[Subgraph]) -> PhyloResult:
@@ -210,23 +225,11 @@ def lower_bound_decomposition(graph: Graph, parts: Sequence[Subgraph]) -> PhyloR
     in at most one vertex.  Parts may be disconnected; nothing in the
     argument needs connectivity.
     """
+    _check_parts(graph, parts)
+    host_cliques = maximal_cliques(graph)
     for idx, part in enumerate(parts):
-        part.check_within(graph)
-        for jdx in range(idx + 1, len(parts)):
-            overlap = part.edges & parts[jdx].edges
-            if overlap:
-                raise ConditionViolated(
-                    "i",
-                    f"parts {idx} and {jdx} share edges {sorted(overlap)}",
-                    detail=sorted(overlap),
-                )
-    for idx, part in enumerate(parts):
-        try:
-            check_subgraph_clique_conditions(graph, part)
-        except ConditionViolated as exc:
-            renamed = {"i": "ii", "ii": "iii"}[exc.condition]
-            raise ConditionViolated(renamed, f"part {idx}: {exc}", detail=exc.detail) from None
-    total = sum(_part_value(part) for part in parts)
+        _check_clique_clauses(host_cliques, part, ("ii", "iii"), f"part {idx}: ")
+    total = sum(phylogeny_number_auto(part.to_graph()[0]).value for part in parts)
     return PhyloResult(kind="lower_bound", method="subgraph-decomposition-bound", value=total)
 
 
@@ -237,14 +240,12 @@ def lower_bound_triangle_free_subgraph(graph: Graph, sub: Subgraph) -> PhyloResu
     host; the separation condition then holds automatically because the
     subgraph's cliques have at most two vertices.
     """
-    part_graph, _ = sub.to_graph()
-    if census(part_graph).t:
+    if census(sub.to_graph()[0]).t:
         raise NotTriangleFree("the subgraph must be triangle-free")
-    result = lower_bound_decomposition(graph, [sub])
     return PhyloResult(
         kind="lower_bound",
         method="triangle-free-subgraph-bound",
-        value=result.value,
+        value=lower_bound_decomposition(graph, [sub]).value,
     )
 
 
@@ -365,17 +366,12 @@ def decompose_equal(graph: Graph, parts: Sequence[Subgraph]) -> PhyloResult:
     """
     if not parts:
         raise ConditionViolated("i", "at least one part is required")
-    seen_edges: set = set()
-    for idx, part in enumerate(parts):
-        part.check_within(graph)
-        part_graph, _ = part.to_graph()
+    covered = _check_parts(graph, parts)
+    part_graphs = [part.to_graph()[0] for part in parts]
+    for idx, part_graph in enumerate(part_graphs):
         if len(connected_components(part_graph)) != 1:
             raise ConditionViolated("i", f"part {idx} is not connected")
-        overlap = seen_edges & part.edges
-        if overlap:
-            raise ConditionViolated("i", f"part {idx} reuses edges {sorted(overlap)}")
-        seen_edges |= part.edges
-    missing = [e for e in graph.sorted_edges() if e not in seen_edges]
+    missing = [e for e in graph.sorted_edges() if e not in covered]
     if missing:
         raise ConditionViolated("i", f"edges {missing} belong to no part", detail=missing)
 
@@ -393,8 +389,7 @@ def decompose_equal(graph: Graph, parts: Sequence[Subgraph]) -> PhyloResult:
     for idx in order:
         if confirmed >= len(parts) - 1:
             break
-        part_graph, _ = parts[idx].to_graph()
-        if is_vertex_transitive(part_graph):
+        if is_vertex_transitive(part_graphs[idx]):
             confirmed += 1
         pending -= 1
         if confirmed + pending < len(parts) - 1:
@@ -402,7 +397,7 @@ def decompose_equal(graph: Graph, parts: Sequence[Subgraph]) -> PhyloResult:
                 "iii",
                 f"fewer than {len(parts) - 1} parts are vertex transitive",
             )
-    total = sum(_part_value(part) for part in parts)
+    total = sum(phylogeny_number_auto(part_graph).value for part_graph in part_graphs)
     return PhyloResult(kind="exact", method="vertex-transitive-decomposition", value=total)
 
 

@@ -53,10 +53,11 @@ def graph6_decode(line: str) -> Graph:
         text = text[len(">>graph6<<"):]
     if not text:
         raise ParseError("empty graph6 line")
-    first = ord(text[0]) - 63
-    if first < 0 or first > 62:
+    n = ord(text[0]) - 63
+    if not 0 <= n < 64:
+        raise ParseError(f"invalid graph6 character {text[0]!r}")
+    if n == 63:  # '~' opens the header of a graph on 63 or more vertices
         raise ParseError("only graph6 lines with at most 62 vertices are supported")
-    n = first
     need = (n * (n - 1) // 2 + 5) // 6
     data = text[1:]
     if len(data) != need:

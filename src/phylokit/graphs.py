@@ -182,8 +182,9 @@ class Digraph:
     equality, hashing, ``m``, ``has_arc`` and ``sorted_arcs`` read the
     masks.  ``arcs`` is the frozenset of ``(tail, head)`` pairs, built on
     each read.  Acyclicity is a checked property (see :func:`is_acyclic`),
-    never a construction invariant: the exact solver builds candidates
-    one arc at a time and tests them.
+    never a construction invariant: certificate validation and
+    :func:`~phylokit.derived.phylogeny_graph` read digraphs that may be
+    cyclic, and reject them.
     """
 
     __slots__ = ("n", "out", "inn")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from typing import Iterable, Sequence
 
 from .derived import Assembly, PhyloCertificate, validate_phylogeny_digraph
@@ -63,11 +64,7 @@ class Subgraph:
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], extra_vertices: Iterable[int] = ()) -> "Subgraph":
         norm = {tuple(sorted(e)) for e in edges}
-        verts = set(extra_vertices)
-        for u, v in norm:
-            verts.add(u)
-            verts.add(v)
-        return cls(frozenset(verts), frozenset(norm))
+        return cls(frozenset(set(extra_vertices).union(*norm)), frozenset(norm))
 
     def check_within(self, host: Graph) -> None:
         for v in self.vertices:
@@ -86,19 +83,49 @@ class Subgraph:
         return tuple(sorted((u, v))) in self.edges
 
 
-def _maximal_cliques_of_subgraph(sub: Subgraph) -> list[tuple[int, ...]]:
-    g, order = sub.to_graph()
-    return [tuple(order[v] for v in clique) for clique in maximal_cliques(g)]
-
-
 def _clique_belongs(clique: Sequence[int], sub: Subgraph) -> bool:
-    if any(v not in sub.vertices for v in clique):
-        return False
-    return all(
-        sub.has_edge(clique[i], clique[j])
-        for i in range(len(clique))
-        for j in range(i + 1, len(clique))
+    """Whether every vertex of ``clique`` lies in ``sub`` and every pair is an edge of ``sub``."""
+    return all(v in sub.vertices for v in clique) and all(
+        sub.has_edge(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]
     )
+
+
+def _check_clique_clauses(
+    host_cliques: Sequence[tuple[int, ...]],
+    sub: Subgraph,
+    codes: tuple[str, str],
+    where: str = "",
+) -> None:
+    """Check a subgraph's two clique clauses against the host's maximal cliques.
+
+    The first clause: every maximal clique of ``sub`` is maximal in the
+    host, that is, one of the host cliques lying in ``sub`` (such a clique
+    is maximal in ``sub`` as well).  The second: every host clique lying
+    in ``sub`` meets every other host clique in at most one vertex.
+    ``codes`` names the two clauses as the caller's theorem numbers them,
+    and ``where`` starts each message.  The caller checks that ``sub``
+    lies in the host and finds ``host_cliques`` once.
+    """
+    inside = [c for c in host_cliques if _clique_belongs(c, sub)]
+    known = set(inside)
+    g, order = sub.to_graph()
+    for clique in maximal_cliques(g):
+        members = [order[v] for v in clique]  # sorted, as ``order`` is
+        if tuple(members) not in known:
+            raise ConditionViolated(
+                codes[0],
+                f"{where}maximal clique {members} of the subgraph is not maximal in the host",
+                detail=members,
+            )
+    outside = [c for c in host_cliques if c not in known]
+    for a, b in product(inside, outside):
+        shared = sorted(set(a) & set(b))
+        if len(shared) > 1:
+            raise ConditionViolated(
+                codes[1],
+                f"{where}cliques {list(a)} (inside) and {list(b)} (outside) share {shared}",
+                detail=(a, b),
+            )
 
 
 def check_subgraph_clique_conditions(host: Graph, sub: Subgraph) -> None:
@@ -109,27 +136,7 @@ def check_subgraph_clique_conditions(host: Graph, sub: Subgraph) -> None:
     any maximal host clique not lying inside it in at most one vertex.
     """
     sub.check_within(host)
-    host_cliques = maximal_cliques(host)
-    host_clique_set = {tuple(c) for c in host_cliques}
-    for clique in _maximal_cliques_of_subgraph(sub):
-        if tuple(sorted(clique)) not in host_clique_set:
-            raise ConditionViolated(
-                "i",
-                f"maximal clique {sorted(clique)} of the subgraph is not maximal in the host",
-                detail=sorted(clique),
-            )
-    inside = [c for c in host_cliques if _clique_belongs(c, sub)]
-    outside = [c for c in host_cliques if not _clique_belongs(c, sub)]
-    for a in inside:
-        sa = set(a)
-        for b in outside:
-            if len(sa & set(b)) > 1:
-                raise ConditionViolated(
-                    "ii",
-                    f"cliques {list(a)} (inside) and {list(b)} (outside) share "
-                    f"{sorted(sa & set(b))}",
-                    detail=(a, b),
-                )
+    _check_clique_clauses(maximal_cliques(host), sub, ("i", "ii"))
 
 
 # ---------------------------------------------------------------------------
@@ -528,43 +535,27 @@ def restriction_digraph(
     :class:`NotInduced`.
 
     Returns the certificate of the restricted digraph, relabelled
-    densely, for the subgraph as :meth:`Subgraph.to_graph` numbers it.
+    densely, for the subgraph as :meth:`Subgraph.to_graph` numbers it:
+    the subgraph's vertices in that order, then every extra of the input
+    in ascending id.
     """
     cert = validate_phylogeny_digraph(digraph, base, target)
     check_subgraph_clique_conditions(target, sub)
+    h_vertices = sorted(sub.vertices)
+    rank = {cert.base[v]: i for i, v in enumerate(h_vertices)}  # digraph id -> new base id
+    h_mask = sum(1 << d for d in rank)
 
-    to_digraph = cert.base  # target vertex i -> digraph vertex
-    h_sorted = sorted(sub.vertices)
-    h_dids = [to_digraph[v] for v in h_sorted]
-    h_mask = 0
-    for d in h_dids:
-        h_mask |= 1 << d
-    keep = sorted(h_dids) + list(cert.extras)
-    new_id = {old: new for new, old in enumerate(keep)}
-    d_to_target = {d: v for v, d in zip(h_sorted, h_dids)}
+    def kept(vertex: int) -> int:
+        """The in-arcs from H kept at ``vertex``, as a mask over the new base ids."""
+        meet = list(bits((digraph.inn[vertex] | 1 << vertex) & h_mask))
+        if len(meet) < 2 or not _clique_belongs([h_vertices[rank[d]] for d in meet], sub):
+            return 0
+        return sum(1 << rank[d] for d in meet if d != vertex)
 
-    def meets_in_clique(vertex: int) -> bool:
-        closed = digraph.inn[vertex] | (1 << vertex)
-        inter = closed & h_mask
-        if inter.bit_count() < 2:
-            return False
-        members = [d_to_target[d] for d in bits(inter)]
-        return all(
-            sub.has_edge(members[i], members[j])
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        )
-
-    arcs = []
-    for xv in keep:
-        if not meets_in_clique(xv):
-            continue
-        for tail in bits(digraph.inn[xv] & h_mask):
-            arcs.append((new_id[tail], new_id[xv]))
-    restricted = Digraph(len(keep), arcs)
-
-    new_base = tuple(new_id[d] for d in h_dids)
-    return validate_phylogeny_digraph(restricted, new_base, sub.to_graph()[0], order=new_base)
+    asm = Assembly(len(h_vertices))
+    asm.in_set = [kept(cert.base[v]) for v in h_vertices]
+    asm.extras = [kept(x) for x in cert.extras]
+    return asm.certificate(sub.to_graph()[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The command-line interface end to end."""
 
+import io
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from phylokit.cli import main
+from phylokit.derived import digraph_to_dot, graph_to_dot
 from phylokit.formulas import FAMILY_CAP
 from phylokit.generate import GENERATOR_CAP
 from phylokit.graphs import format_graph, cycle_graph, parse_digraph, parse_graph
@@ -163,6 +165,14 @@ class TestReports:
         payload = json.loads(capsys.readouterr().out)
         assert payload["k4free_sandwich"]["exact"] == 0
 
+    def test_bounds_interval(self, tmp_path, capsys):
+        # the house: a triangle sharing an edge with a four-cycle; neither sandwich end is exact
+        path = tmp_path / "interval.graph"
+        path.write_text("5 6\n0 1\n0 2\n1 2\n0 3\n3 4\n1 4\n")
+        assert main(["bounds", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["k4free_sandwich"] == {"method": "k4free-bounds", "lower": 0, "upper": 1}
+
     def test_bounds_out_of_scope(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
         path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
@@ -177,6 +187,12 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 1 + 2 + 6
         assert all(json.loads(line)["ok"] for line in lines)
+
+    def test_graph6_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("C~\nC]\n"))
+        assert main(["sweep", "--max-n", "4", "--graph6", "-"]) == 0
+        records = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert [r["n"] for r in records] == [4, 4] and all(r["ok"] for r in records)
 
     def test_graph6_ingestion(self, tmp_path, capsys):
         stream = tmp_path / "graphs.g6"
@@ -293,6 +309,20 @@ class TestCatalogAndDot:
         assert main(["export-dot", str(path), str(out)]) == 0
         assert out.read_text().startswith("graph G {")
 
+    def test_export_dot_to_stdout(self, tmp_path, capsys):
+        path = write_catalog(tmp_path, "fig2_G")
+        capsys.readouterr()
+        assert main(["export-dot", str(path)]) == 0
+        assert capsys.readouterr().out == graph_to_dot(figure_catalog("fig2_G"))
+
+    def test_export_digraph_dot(self, tmp_path, capsys):
+        d = write_catalog(tmp_path, "fig1_D")
+        capsys.readouterr()
+        out = tmp_path / "d.dot"
+        assert main(["export-dot", str(d), str(out), "--kind", "digraph"]) == 0
+        assert out.read_text() == digraph_to_dot(figure_catalog("fig1_D")[0])
+        assert capsys.readouterr().out == ""
+
     def test_export_certificate_dot(self, tmp_path):
         d = write_catalog(tmp_path, "fig1_D")
         out = tmp_path / "d.dot"
@@ -371,6 +401,8 @@ class TestExitPaths:
                 "error: time budget exhausted before the search finished\n",
             ),
             (["family", "--l", "-1"], 2, "error: --l must be at least 0\n"),
+            # an edge-list file where graph6 lines are expected
+            (["sweep", "--max-n", "3", "--graph6", "{edge_list}"], 2, "error: invalid graph6 character '0'\n"),
         ],
     )
     def test_exit_code_and_stderr(self, tmp_path, capsys, argv, code, prefix):
@@ -382,11 +414,13 @@ class TestExitPaths:
             "bad_g6": tmp_path / "bad.g6",
             "unwritable": tmp_path / "no_such_dir" / "out",
             "s6": tmp_path / "s6.graph",
+            "edge_list": tmp_path / "edges.g6",
         }
         paths["small"].write_text("3 0\n")
         # p = 1, and no closed form or sandwich gives it, so only the search does
         paths["s6"].write_text("6 10\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n3 5\n4 5\n")
         paths["bad_g6"].write_text("C~\nC!\n")
+        paths["edge_list"].write_text("0 0\n")
         capsys.readouterr()
         assert main([arg.format(**paths) for arg in argv]) == code
         captured = capsys.readouterr()

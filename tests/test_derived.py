@@ -238,6 +238,20 @@ class TestNormalization:
         with pytest.raises(ArcRuleViolated):
             check_nontriangle_edge_arcs(g, d, (0, 1, 2))
 
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            ([(0, 2), (1, 2)], "cared for by base vertex 2"),
+            ([(0, 3), (1, 3), (2, 3)], "further base in-neighbors"),
+        ],
+    )
+    def test_nontriangle_arc_rules_check_the_carer(self, arcs, message):
+        # edge (0,1) lies on no triangle, so only an extra holding just 0 and 1 may care for it
+        g = Graph(3, [(0, 1)])
+        d = Digraph(1 + max(h for _, h in arcs), arcs)
+        with pytest.raises(ArcRuleViolated, match=message):
+            check_nontriangle_edge_arcs(g, d, (0, 1, 2))
+
     def test_nontriangle_arc_rules_survive_optimization(self):
         # python -O strips asserts; the audit must still reject the violation
         code = (

@@ -263,6 +263,27 @@ class TestDecompositionBound:
         ]
         assert lower_bound_decomposition(g, parts).value == 2
 
+    def test_host_cliques_found_once_per_call(self, monkeypatch):
+        from phylokit import formulas, structure, witness
+
+        g = disjoint_union(cycle_graph(4), cycle_graph(5), complete_graph(3))
+        host_calls = []
+
+        def counted(graph):
+            if graph is g:
+                host_calls.append(graph)
+            return structure.maximal_cliques(graph)
+
+        for module in (formulas, witness):
+            monkeypatch.setattr(module, "maximal_cliques", counted, raising=False)
+        parts = [
+            Subgraph.from_edges([e for e in g.sorted_edges() if max(e) < 4]),
+            Subgraph.from_edges([e for e in g.sorted_edges() if 4 <= min(e) and max(e) < 9]),
+            Subgraph.from_edges([e for e in g.sorted_edges() if min(e) >= 9]),
+        ]
+        assert lower_bound_decomposition(g, parts).value == 2
+        assert len(host_calls) == 1
+
     def test_overlapping_parts_rejected(self):
         g = cycle_graph(4)
         part = Subgraph.from_edges([(0, 1)])
@@ -540,6 +561,13 @@ class TestAutoPipeline:
         res = phylogeny_number_auto(g, want_witness=True)
         assert res.value == value
         assert res.witness.extra_count == value
+        validate_phylogeny_digraph(res.witness.digraph, res.witness.base, g)
+
+    def test_method_names_every_kernel(self):
+        g = disjoint_union(cycle_graph(4), cycle_graph(5))
+        res = phylogeny_number_auto(g, want_witness=True)
+        assert res.value == 2
+        assert res.method == "reduce+(formula:triangle-free+formula:triangle-free)"
         validate_phylogeny_digraph(res.witness.digraph, res.witness.base, g)
 
     def test_wrong_closed_form_caught_under_optimization(self):

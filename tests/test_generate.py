@@ -83,6 +83,21 @@ class TestGraph6:
         with pytest.raises(ParseError):
             graph6_decode(line)
 
+    # the first character is read as n + 63, and "~" opens the n >= 63 header
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 0", "invalid graph6 character '0'"),
+            ("\x7f", "invalid graph6 character '\\x7f'"),
+            (">", "invalid graph6 character '>'"),
+            ("~?", "only graph6 lines with at most 62 vertices are supported"),
+        ],
+    )
+    def test_bad_first_character_named(self, line, message):
+        with pytest.raises(ParseError) as info:
+            graph6_decode(line)
+        assert str(info.value) == message
+
 
 class TestCanonicalForm:
     def test_isomorphism_invariance(self):
