@@ -56,6 +56,7 @@ from .errors import BudgetExhausted, CrossCheckFailed, Infeasible, TooLarge
 from .generate import _labelling, _relabel
 from .graphs import Graph, bits, connected_components
 from .results import PhyloResult
+from .structure import THETA_CAP_DEFAULT as SOLVER_CAP_DEFAULT
 from .structure import EdgeCliqueTable, edge_clique_table, triangle_edges
 
 __all__ = [
@@ -65,7 +66,6 @@ __all__ = [
     "competition_number_exact",
 ]
 
-SOLVER_CAP_DEFAULT = 12
 ORACLE_VERTEX_CAP = 7
 ORACLE_EXTRA_CAP = 3
 
@@ -142,7 +142,7 @@ class _HeadSearch:
         fail_first: bool = False,
     ):
         self.fail_first = fail_first
-        self.deadline: float | None = None  # set by deepen; run alone has none
+        self.nodes = 0  # every run's nodes, added up
         self.n = n = graph.n
         self.table = table = edge_clique_table(graph)
         adj = graph.adj
@@ -185,18 +185,23 @@ class _HeadSearch:
         succeeds, so deepening past ``m`` is a bug.
         """
         budget = start
-        self.deadline = deadline
         while True:
             if max_extras is not None and budget > max_extras:
                 raise BudgetExhausted(f"no certificate within {max_extras} extra vertices")
-            if self.run(budget):
+            if self.run(budget, deadline):
                 return budget
             budget += 1
             if budget > len(self.table.edges):
                 raise CrossCheckFailed("deepening exceeded the trivial upper bound")
 
-    def run(self, budget: int) -> bool:
-        """One depth-first pass at ``budget``; its state is ``self.assembly``."""
+    def run(self, budget: int, deadline: float | None = None) -> bool:
+        """One depth-first pass at ``budget``; its state is ``self.assembly``.
+
+        ``deadline`` is as for :meth:`deepen`.  The pass adds the nodes it
+        visits to ``self.nodes`` and sets ``self.switched``: whether it
+        branched fail-first at some node (always False without
+        ``fail_first``).
+        """
         n = self.n
         all_covered = self.table.full
         pairs_mask = self.table.pairs_mask
@@ -205,7 +210,6 @@ class _HeadSearch:
         incompatible_count = self.table.incompatible_count
         incident_mask = self.incident_mask
         slack = self.slack
-        deadline = self.deadline
         monotonic = time.monotonic
         self.assembly = Assembly(n)
         in_mask = self.assembly.in_set
@@ -213,6 +217,7 @@ class _HeadSearch:
         vertex_bit = [1 << v for v in range(n)]
         fail_first = self.fail_first
         switched = False  # set once a child fails, in fail-first mode
+        nodes = 0
 
         def most_constrained(remaining: int, desc: list[int]) -> int:
             # the uncovered edge with the fewest live moves (head moves that
@@ -250,7 +255,8 @@ class _HeadSearch:
         def dfs(covered: int, desc: list[int], perms: tuple, last: int) -> bool:
             # perms fix every move on the path above this node, and last is
             # the key of the move that led here (0, fixed by all, at the root)
-            nonlocal switched
+            nonlocal switched, nodes
+            nodes += 1
             if deadline is not None and monotonic() > deadline:
                 raise BudgetExhausted("time budget exhausted before the search finished")
             if covered == all_covered:
@@ -304,7 +310,11 @@ class _HeadSearch:
                         failed |= _orbit_of(clique, perms)
             return False
 
-        return dfs(0, [0] * n, self.symmetries, 0)
+        try:
+            return dfs(0, [0] * n, self.symmetries, 0)
+        finally:
+            self.nodes += nodes
+            self.switched = switched
 
 
 def _image(perm: Sequence[int], mask: int) -> int:

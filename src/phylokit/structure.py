@@ -29,6 +29,7 @@ __all__ = [
     "census_json",
 ]
 
+# the vertex cap of theta_e here and of the exact solvers (exact.SOLVER_CAP_DEFAULT)
 THETA_CAP_DEFAULT = 12
 TRANSITIVITY_CAP = 10
 

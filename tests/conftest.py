@@ -1,8 +1,6 @@
 """Shared helpers for the test suite."""
 
 import random
-import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -30,31 +28,6 @@ def labellings(monkeypatch):
 
     monkeypatch.setattr(generate, "_least_leaf", counted)
     return calls
-
-
-@pytest.fixture
-def node_depths(monkeypatch):
-    """A list that gains, per head-search node, the depth of the call stack there.
-
-    A search with a deadline reads ``exact.time.monotonic`` once per node,
-    so the list's length counts nodes.  A run in which no child failed
-    reads strictly consecutive depths: after a failed child the next node
-    is a sibling of it or of one of its ancestors.
-    """
-    import phylokit.exact as exact
-
-    depths = []
-
-    def clock():
-        frame, depth = sys._getframe(1), 0
-        while frame is not None:
-            depth += 1
-            frame = frame.f_back
-        depths.append(depth)
-        return 0.0
-
-    monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=clock))
-    return depths
 
 
 def random_certificate(rng: random.Random, max_base: int = 7, max_extra: int = 3):

@@ -173,6 +173,17 @@ class TestReports:
         payload = json.loads(capsys.readouterr().out)
         assert payload["k4free_sandwich"] == {"method": "k4free-bounds", "lower": 0, "upper": 1}
 
+    def test_theta_e_past_the_cap_is_null(self, tmp_path, capsys):
+        # C13 has one vertex more than the default cap on the clique cover
+        path = tmp_path / "c13.graph"
+        path.write_text(format_graph(cycle_graph(13)))
+        assert main(["census", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["theta_e"] is None
+        assert main(["bounds", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["clique_cover_lower"] is None
+        assert payload["k4free_sandwich"] == {"method": "k4free-bounds:both-equalities", "exact": 1}
+
     def test_bounds_out_of_scope(self, tmp_path, capsys):
         path = tmp_path / "k4.graph"
         path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")

@@ -176,6 +176,19 @@ class TestValidate:
         cert = validate_phylogeny_digraph(d, range(2), g, order=(1, 0))
         assert cert.base == (1, 0)
 
+    @pytest.mark.parametrize(
+        "base, order, message",
+        [
+            ([0], None, "base has 1 vertices, target has 2"),
+            ([0, 5], None, "base vertex 5 not in the digraph"),
+            ([0, 1], [0, 2], "order must be a permutation of the base set"),
+        ],
+    )
+    def test_rejects_a_base_that_does_not_fit(self, base, order, message):
+        d = Digraph(3, [(0, 2), (1, 2)])
+        with pytest.raises(ValueError, match=message):
+            validate_phylogeny_digraph(d, base, Graph(2, [(0, 1)]), order=order)
+
 
 class TestCaredEdges:
     def test_catalog_digraph_cares_two_edges(self):

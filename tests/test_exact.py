@@ -2,9 +2,9 @@
 
 import random
 from collections import Counter
+import time
 from functools import lru_cache
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 
@@ -74,13 +74,15 @@ class TestSolverValues:
     def test_edgeless(self):
         assert phylogeny_number_exact(empty_graph(4)).value == 0
 
-    def test_deadline_checked_inside_a_pass(self, monkeypatch):
-        # the clock reads 0 once and then lies past the deadline, so the
-        # budget-0 pass on K3, which would succeed, stops at its second node
-        readings = iter([0.0])
-        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: next(readings, 10.0)))
+    def test_deadline_checked_inside_a_pass(self):
+        # the budget-0 pass on K3 would succeed, but stops at its first node
+        past = time.monotonic() - 1.0
+        search = _HeadSearch(complete_graph(3), head_joins=True)
         with pytest.raises(BudgetExhausted):
-            phylogeny_number_exact(complete_graph(3), deadline=1.0)
+            search.run(0, deadline=past)
+        assert search.nodes == 1
+        with pytest.raises(BudgetExhausted):
+            phylogeny_number_exact(complete_graph(3), deadline=past)
 
 
 class TestOracle:
@@ -307,15 +309,12 @@ class TestOrbitPruning:
             assert plain.assembly.in_set == pruned.assembly.in_set, g
             assert plain.assembly.extras == pruned.assembly.extras, g
 
-    def test_pruning_visits_fewer_nodes(self, node_depths):
+    def test_pruning_visits_fewer_nodes(self):
         g = graph6_decode("F?~vw")
-        nodes = []
-        for search in self.pair(g, head_joins=False):
-            node_depths.clear()
-            assert search.deepen(exact._competition_start(g, search.table), deadline=1e9) == 4
-            nodes.append(len(node_depths))
-        plain, pruned = nodes
-        assert pruned < plain
+        plain, pruned = self.pair(g, head_joins=False)
+        for search in (plain, pruned):
+            assert search.deepen(exact._competition_start(g, search.table)) == 4
+        assert pruned.nodes < plain.nodes
 
     @pytest.mark.parametrize("seed", range(2))
     def test_symmetries_are_automorphisms_of_the_searched_graph(self, seed):
@@ -333,22 +332,28 @@ class TestOrbitPruning:
 class TestNodeTotals:
     """The number of nodes both searches visit, as the solvers set them up."""
 
-    def test_phylogeny_up_to_six_vertices(self, node_depths):
+    def test_phylogeny_up_to_six_vertices(self):
+        nodes = 0
         for g in connected_graphs_upto(6):
-            phylogeny_number_exact(g, want_witness=False, deadline=1e9)
-        assert len(node_depths) == 4557
+            searched, _, symmetries = exact._canonical_form(g)
+            search = _HeadSearch(searched, head_joins=True, symmetries=symmetries)
+            search.deepen(0)
+            nodes += search.nodes
+        assert nodes == 4557
 
-    def test_competition_up_to_six_vertices_with_a_triangle(self, node_depths):
+    def test_competition_up_to_six_vertices_with_a_triangle(self):
+        nodes = 0
         for g in connected_graphs_upto(6):
             if census(g).t:
                 searched, _, symmetries = exact._canonical_form(g)
                 search = _HeadSearch(searched, head_joins=False, symmetries=symmetries, fail_first=True)
-                search.deepen(exact._competition_start(g, search.table), deadline=1e9)
-        assert len(node_depths) == 1578
+                search.deepen(exact._competition_start(g, search.table))
+                nodes += search.nodes
+        assert nodes == 1578
 
 
 class TestRunAlone:
-    """``run`` on a fresh search, without ``deepen`` setting a deadline first."""
+    """``run`` on a fresh search, without ``deepen`` before it."""
 
     @pytest.mark.parametrize("fail_first", [False, True], ids=["canonical", "fail-first"])
     @pytest.mark.parametrize("head_joins, value", [(True, 1), (False, 2)], ids=["phylogeny", "competition"])
@@ -368,13 +373,13 @@ def branch_orders(g: Graph, head_joins: bool) -> tuple[_HeadSearch, _HeadSearch]
     )
 
 
-def check_fail_first_agreement(graphs, head_joins: bool, depths: list) -> tuple[int, int]:
+def check_fail_first_agreement(graphs, head_joins: bool) -> tuple[int, int]:
     """Both branch orders give the same ``run(b)`` at b = p - 1 and b = p.
 
-    ``depths`` is the ``node_depths`` fixture's list.  Where the canonical
-    run at b succeeds with no failed child, the fail-first run never
-    switches and must assemble the same in-sets and extras.  Returns the
-    budget pairs checked and how many of them were such successes.
+    Where the fail-first run at b succeeds and never switches, it took
+    the canonical order's path, with no failed child, so it must assemble
+    the same in-sets and extras.  Returns the budget pairs checked and
+    how many of them were such successes.
     """
     pairs = unswitched = 0
     for g in graphs:
@@ -382,15 +387,13 @@ def check_fail_first_agreement(graphs, head_joins: bool, depths: list) -> tuple[
             continue
         canonical, fail_first = branch_orders(g, head_joins)
         start = 0 if head_joins else exact._competition_start(g, canonical.table)
-        value = canonical.deepen(start, deadline=1e9)
-        assert fail_first.deepen(start, deadline=1e9) == value, g
+        value = canonical.deepen(start)
+        assert fail_first.deepen(start) == value, g
         for budget in range(max(value - 1, 0), value + 1):
-            depths.clear()
             found = canonical.run(budget)
-            steady = all(b == a + 1 for a, b in zip(depths, depths[1:]))
             assert fail_first.run(budget) == found == (budget == value), (g, budget)
             pairs += 1
-            if found and steady:
+            if found and not fail_first.switched:
                 unswitched += 1
                 assert fail_first.assembly.in_set == canonical.assembly.in_set, g
                 assert fail_first.assembly.extras == canonical.assembly.extras, g
@@ -401,17 +404,14 @@ class TestFailFirst:
     """The competition search's fail-first branching against the canonical order."""
 
     @pytest.mark.parametrize("head_joins", [True, False], ids=["phylogeny", "competition"])
-    def test_agrees_with_canonical_order(self, head_joins, node_depths):
-        pairs, unswitched = check_fail_first_agreement(connected_graphs_upto(6), head_joins, node_depths)
+    def test_agrees_with_canonical_order(self, head_joins):
+        pairs, unswitched = check_fail_first_agreement(connected_graphs_upto(6), head_joins)
         assert 0 < unswitched < pairs
 
     @pytest.mark.parametrize("line", ["F?~vw", "F@v~o", "F?~vg", "FFz~o"])
-    def test_visits_fewer_nodes(self, line, node_depths):
+    def test_visits_fewer_nodes(self, line):
         g = graph6_decode(line)
-        nodes = []
-        for search in branch_orders(g, head_joins=False):
-            node_depths.clear()
-            search.deepen(exact._competition_start(g, search.table), deadline=1e9)
-            nodes.append(len(node_depths))
-        canonical, fail_first = nodes
-        assert fail_first < canonical
+        canonical, fail_first = branch_orders(g, head_joins=False)
+        for search in (canonical, fail_first):
+            search.deepen(exact._competition_start(g, search.table))
+        assert fail_first.nodes < canonical.nodes

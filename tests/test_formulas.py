@@ -479,6 +479,13 @@ class TestReductions:
         assert lifted.extra_count == 2
         validate_phylogeny_digraph(lifted.digraph, lifted.base, g)
 
+    def test_lift_wants_one_certificate_per_kernel(self):
+        g = figure_catalog("fig4_G2")
+        kernels, log = reduce_graph(g)
+        certs = [phylogeny_number_exact(k).witness for k in kernels]
+        with pytest.raises(ValueError, match="one certificate per kernel is required"):
+            lift_reductions(g, log, [*certs, certs[0]])
+
 
 class TestDecomposeEqual:
     def test_glued_triangle_and_square(self):
@@ -507,6 +514,19 @@ class TestDecomposeEqual:
         g = figure_catalog("fig4_G1")
         with pytest.raises(ConditionViolated) as info:
             decompose_equal(g, [Subgraph.from_edges([(2, 4), (2, 5), (4, 5)])])
+        assert info.value.condition == "i"
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ([], "at least one part is required"),
+            ([Subgraph.from_edges([(0, 1), (2, 3)])], "part 0 is not connected"),
+        ],
+        ids=["no-parts", "disconnected-part"],
+    )
+    def test_condition_one_rejections(self, parts, message):
+        with pytest.raises(ConditionViolated, match=message) as info:
+            decompose_equal(cycle_graph(4), parts)
         assert info.value.condition == "i"
 
     def test_reversed_pair_rejected(self):

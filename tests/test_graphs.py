@@ -333,6 +333,9 @@ class TestEdgeListFormat:
                     "2 2\n0 1\n1 0\n",
                     "2 2\n0 1\n",
                     "2 1\nnope 1\n",
+                    "a b\n",
+                    "-1 0\n",
+                    "2 1\n0 1 2\n",
                 )
             ),
             *(

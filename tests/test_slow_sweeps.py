@@ -105,6 +105,6 @@ def test_competition_oracle_at_seven_vertices_with_a_triangle():
 
 @slow
 @pytest.mark.parametrize("head_joins", [True, False], ids=["phylogeny", "competition"])
-def test_fail_first_agreement_at_seven_vertices(head_joins, node_depths):
-    pairs, unswitched = check_fail_first_agreement(connected_graphs(7), head_joins, node_depths)
+def test_fail_first_agreement_at_seven_vertices(head_joins):
+    pairs, unswitched = check_fail_first_agreement(connected_graphs(7), head_joins)
     assert 0 < unswitched < pairs

@@ -157,6 +157,18 @@ class TestUpperConstruction:
         construct_k4free_upper(g)
         assert census.cache_info().misses == 1
 
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ({"op": "nope"}, "unknown trace op 'nope'"),
+            ({"op": "caring-vertex-absorbs", "vertex": 0, "extra": 0}, "trace step absorbs into unknown extra 0"),
+        ],
+        ids=["unknown-op", "absorb-before-any-extra"],
+    )
+    def test_replay_rejects_a_bad_step(self, step, message):
+        with pytest.raises(ValueError, match=message):
+            replay_trace(figure_catalog("fig3_G2"), [step])
+
     @pytest.mark.parametrize("op", ["new-extra", "reroute-in-arcs"])
     def test_replay_rejects_extra_out_of_order(self, op):
         g = figure_catalog("fig3_G2")
