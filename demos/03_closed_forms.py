@@ -27,7 +27,7 @@ print(f"{'graph':<42} {'t':>2} {'comps':>5} {'formula':>8} {'solver':>7}")
 for name, g in samples:
     rep = census(g)
     res = formula_dispatch(g)
-    exact = phylogeny_number_exact(g, want_witness=False).value
+    exact = phylogeny_number_exact(g).value
     shown = res.value if res.kind == "exact" else "-"
     print(
         f"{name:<42} {rep.t:>2} {len(rep.g_minus_components):>5} "

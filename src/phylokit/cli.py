@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", metavar="OUT", help="write a certifying digraph here")
     p.add_argument("--force", action="store_true", help="ignore the solver size cap")
     p.add_argument("--max-n", type=int, default=SOLVER_CAP_DEFAULT, help="solver size cap")
-    p.add_argument("--max-extras", type=int, default=None, help="fail instead of deepening past this")
+    p.add_argument("--max-extras", type=int, default=None, help="fail when the phylogeny number exceeds this")
     p.add_argument("--time-budget-ms", type=int, default=None, help="fail when the search exceeds this")
     p.set_defaults(func=cmd_compute)
 

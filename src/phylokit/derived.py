@@ -279,8 +279,8 @@ def check_nontriangle_edge_arcs(target: Graph, digraph: Digraph, base: Sequence[
 # vertices in the label.  Vertices are emitted in ascending id order.
 
 
-def graph_to_dot(graph: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(graph: Graph) -> str:
+    lines = ["graph G {"]
     for v in range(graph.n):
         lines.append(f"  {v} [label={v}];")
     for u, v in graph.sorted_edges():
@@ -289,8 +289,8 @@ def graph_to_dot(graph: Graph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def digraph_to_dot(digraph: Digraph, name: str = "D") -> str:
-    lines = [f"digraph {name} {{"]
+def digraph_to_dot(digraph: Digraph) -> str:
+    lines = ["digraph D {"]
     for v in range(digraph.n):
         lines.append(f"  {v} [label={v}];")
     for t, h in digraph.sorted_arcs():
@@ -299,10 +299,10 @@ def digraph_to_dot(digraph: Digraph, name: str = "D") -> str:
     return "\n".join(lines) + "\n"
 
 
-def certificate_to_dot(digraph: Digraph, base: Iterable[int], name: str = "D") -> str:
+def certificate_to_dot(digraph: Digraph, base: Iterable[int]) -> str:
     base_set = set(base)
     cared = cared_edges(digraph, base_set)
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph D {"]
     for v in range(digraph.n):
         shape = "circle" if v in base_set else "box"
         lines.append(f"  {v} [label={v}, shape={shape}];")

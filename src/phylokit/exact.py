@@ -386,7 +386,9 @@ def phylogeny_number_exact(
     canonical relabelling, mapped back to the input's ids and validated
     against the input, so repeated runs give identical output.
     ``max_extras`` and ``deadline`` (a ``time.monotonic`` instant) abort
-    loudly instead of truncating.
+    loudly instead of truncating.  The witness is always built and
+    validated; ``want_witness=False``, which only the benchmark's
+    reference builder passes, leaves it off the result.
     """
     if graph.n > cap:
         raise TooLarge(f"exact solver capped at {cap} vertices (got {graph.n})")
@@ -551,7 +553,7 @@ def oracle_phylogeny_number(graph: Graph, r_max: int = ORACLE_EXTRA_CAP) -> int:
 # Competition number: the same search with the head outside the clique.
 
 
-def competition_number_exact(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> int:
+def competition_number_exact(graph: Graph) -> int:
     """Fewest isolated vertices to add so the result is a competition graph.
 
     Connected triangle-free graphs take the classical closed form
@@ -561,8 +563,8 @@ def competition_number_exact(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> int
     :class:`_HeadSearch`): most of the work is in proving the budget
     k - 1 infeasible, where the most constrained edge fails soonest.
     """
-    if graph.n > cap:
-        raise TooLarge(f"competition solver capped at {cap} vertices (got {graph.n})")
+    if graph.n > SOLVER_CAP_DEFAULT:
+        raise TooLarge(f"competition solver capped at {SOLVER_CAP_DEFAULT} vertices (got {graph.n})")
     if graph.m == 0:
         return 0
     if not triangle_edges(graph) and len(connected_components(graph)) == 1:

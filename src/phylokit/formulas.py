@@ -12,12 +12,13 @@ exact values.
 
 from __future__ import annotations
 
-from functools import partial
 from heapq import heappop, heappush
+from math import inf
 from typing import Sequence
 
 from .derived import Assembly, PhyloCertificate
 from .errors import (
+    BudgetExhausted,
     ConditionViolated,
     CrossCheckFailed,
     HypothesisViolated,
@@ -412,38 +413,46 @@ def _kernel_result(
     max_extras: int | None = None,
     deadline: float | None = None,
 ) -> PhyloResult:
-    solve = partial(phylogeny_number_exact, kernel, cap=cap, max_extras=max_extras, deadline=deadline)
-    formula = formula_dispatch(kernel)
+    """One kernel's value, and its witness when asked, within the sandwich.
+
+    The interval is the sandwich's [lower, upper], or [0, inf) outside
+    its hypotheses.  The value comes from the closed form, else from the
+    sandwich's equality clause, else from the search; the witness from
+    the construction that meets the clause, else from the search.  The
+    search runs at most once, deepening from 0, and the value must lie
+    in the interval and equal the search's when both ran.
+    """
+    lower, upper, value, method, witness = 0, inf, None, None, None
     try:
         bounded = bounds_k4free(kernel)
     except HypothesisViolated:
-        bounded = None
-    if formula.kind == "exact":
-        result = formula
-    elif bounded is not None and bounded.kind == "exact":
-        result = bounded
+        pass
     else:
-        result = solve(want_witness=want_witness)
-    if bounded is not None:
         if bounded.kind == "exact":
-            agrees = result.value == bounded.value
+            lower = upper = value = bounded.value
+            method = bounded.method
+            if want_witness and method == "k4free-bounds:upper-equality":
+                witness = construct_k4free_upper(kernel).certificate
+            elif want_witness:
+                witness = construct_gminus_caring(kernel)[0]
         else:
-            agrees = bounded.lower <= result.value <= bounded.upper
-        if not agrees:
-            raise CrossCheckFailed(
-                f"{result.method} gives {result.value} but {bounded.method} "
-                f"gives {bounded.to_json()['value']}"
-            )
-    if not want_witness or result.witness is not None:
-        return result
-    clause = bounded.method if bounded is not None else None
-    if clause in ("k4free-bounds:lower-equality", "k4free-bounds:both-equalities"):
-        cert, _ = construct_gminus_caring(kernel)
-    elif clause == "k4free-bounds:upper-equality":
-        cert = construct_k4free_upper(kernel).certificate
-    else:
-        cert = solve().witness
-    return PhyloResult(kind="exact", method=result.method, value=result.value, witness=cert)
+            lower, upper = bounded.lower, bounded.upper
+    formula = formula_dispatch(kernel)
+    if formula.kind == "exact":
+        value, method = formula.value, formula.method
+    searched = None
+    if value is None or (want_witness and witness is None):
+        solved = phylogeny_number_exact(kernel, cap=cap, max_extras=max_extras, deadline=deadline)
+        searched = solved.value
+        if value is None:
+            value, method = searched, solved.method
+        if want_witness:
+            witness = solved.witness
+    if not lower <= value <= upper or searched not in (None, value):
+        raise CrossCheckFailed(
+            f"{method} gives {value}, the search {searched}, the sandwich [{lower}, {upper}]"
+        )
+    return PhyloResult(kind="exact", method=method, value=value, witness=witness)
 
 
 def phylogeny_number_auto(
@@ -455,15 +464,20 @@ def phylogeny_number_auto(
 ) -> PhyloResult:
     """Reduce, then per kernel: closed form, sandwich equality, or search.
 
-    Raises :class:`TooLarge` only when some kernel defeats every formula
-    and still exceeds the solver cap, the extra-count cap, or the time
-    budget.
+    Raises :class:`TooLarge` when a kernel that needs the search exceeds
+    the solver cap or the time budget: one that defeats every formula,
+    or, when a witness is asked, one valued by a closed form that no
+    sandwich construction meets.  Raises :class:`BudgetExhausted` when
+    the value exceeds ``max_extras``, whichever route found it; each
+    kernel's search stops early past it.
     """
     kernels, log = reduce_graph(graph)
     results = [
         _kernel_result(k, cap, want_witness, max_extras, deadline) for k in kernels
     ]
     total = sum(r.value for r in results)
+    if max_extras is not None and total > max_extras:
+        raise BudgetExhausted(f"no certificate within {max_extras} extra vertices")
     tags = [r.method for r in results]
     reduced = len(kernels) != 1 or kernels[0].n != graph.n
     if not tags:

@@ -37,25 +37,28 @@ class SweepOptions:
 
 @dataclass
 class SweepRecord:
-    """One graph's numbers plus the agreement booleans for each claim."""
+    """One graph's numbers plus the agreement booleans for each claim.
 
-    graph_id: str
-    n: int
-    m: int
-    t: int
-    d: int
-    has_k4: bool
-    diamonds_edge_disjoint: bool
-    exact: int
-    formula: int | None
-    clique_cover_bound: int
-    bounds_lower: int | None
-    bounds_upper: int | None
-    bounds_exact: int | None
-    oracle: int | None
-    oracle_infeasible: bool
+    ``numbers`` holds the JSON record from "id" to "oracle_infeasible",
+    in its order; ``bounds`` the sandwich's ends, for graphs in its scope.
+    """
+
+    numbers: dict
     checks: dict[str, bool] = field(default_factory=dict)
+    bounds: dict | None = None
     elapsed_ms: int = 0
+
+    @property
+    def graph_id(self) -> str:
+        return self.numbers["id"]
+
+    @property
+    def n(self) -> int:
+        return self.numbers["n"]
+
+    @property
+    def exact(self) -> int:
+        return self.numbers["exact"]
 
     @property
     def ok(self) -> bool:
@@ -63,28 +66,13 @@ class SweepRecord:
 
     def to_json(self) -> dict:
         payload = {
-            "id": self.graph_id,
-            "n": self.n,
-            "m": self.m,
-            "t": self.t,
-            "d": self.d,
-            "has_k4": self.has_k4,
-            "diamonds_edge_disjoint": self.diamonds_edge_disjoint,
-            "exact": self.exact,
-            "formula": self.formula,
-            "clique_cover_bound": self.clique_cover_bound,
-            "oracle": self.oracle,
-            "oracle_infeasible": self.oracle_infeasible,
+            **self.numbers,
             "checks": dict(self.checks),
             "ok": self.ok,
             "elapsed_ms": self.elapsed_ms,
         }
-        if self.bounds_lower is not None:
-            payload["bounds"] = {
-                "lower": self.bounds_lower,
-                "upper": self.bounds_upper,
-                "exact": self.bounds_exact,
-            }
+        if self.bounds is not None:
+            payload["bounds"] = dict(self.bounds)
         return payload
 
 
@@ -124,19 +112,17 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
     clique_bound = clique_cover_bound(graph.n, theta)
     checks["clique_cover_bound_holds"] = clique_bound <= exact
 
-    bounds_lower = bounds_upper = bounds_exact = None
+    bounds = None
     try:
         outcome = bounds_k4free(graph)
     except HypothesisViolated:
         outcome = None
     if outcome is not None:
         if outcome.kind == "exact":
-            bounds_exact = outcome.value
-            bounds_lower = bounds_upper = outcome.value
-            checks["sandwich_holds"] = outcome.value == exact
+            bounds = {"lower": outcome.value, "upper": outcome.value, "exact": outcome.value}
         else:
-            bounds_lower, bounds_upper = outcome.lower, outcome.upper
-            checks["sandwich_holds"] = bounds_lower <= exact <= bounds_upper
+            bounds = {"lower": outcome.lower, "upper": outcome.upper, "exact": None}
+        checks["sandwich_holds"] = bounds["lower"] <= exact <= bounds["upper"]
         checks["theta_identity"] = theta == graph.m - 2 * report.t + report.d
         caring, caring_optimal = construct_gminus_caring(graph)
         comp_count = len(report.g_minus_components)
@@ -164,25 +150,21 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
             oracle_infeasible = True
             checks["oracle_agrees"] = exact > ORACLE_SWEEP_BUDGET
 
-    return SweepRecord(
-        graph_id=graph_id,
-        n=graph.n,
-        m=graph.m,
-        t=report.t,
-        d=report.d,
-        has_k4=report.has_k4,
-        diamonds_edge_disjoint=report.diamonds_edge_disjoint,
-        exact=exact,
-        formula=formula_value,
-        clique_cover_bound=clique_bound,
-        bounds_lower=bounds_lower,
-        bounds_upper=bounds_upper,
-        bounds_exact=bounds_exact,
-        oracle=oracle_value,
-        oracle_infeasible=oracle_infeasible,
-        checks=checks,
-        elapsed_ms=int((time.perf_counter() - started) * 1000),
-    )
+    numbers = {
+        "id": graph_id,
+        "n": graph.n,
+        "m": graph.m,
+        "t": report.t,
+        "d": report.d,
+        "has_k4": report.has_k4,
+        "diamonds_edge_disjoint": report.diamonds_edge_disjoint,
+        "exact": exact,
+        "formula": formula_value,
+        "clique_cover_bound": clique_bound,
+        "oracle": oracle_value,
+        "oracle_infeasible": oracle_infeasible,
+    }
+    return SweepRecord(numbers, checks, bounds, int((time.perf_counter() - started) * 1000))
 
 
 def sweep_graphs(

@@ -267,7 +267,7 @@ def test_criterion_7_restriction_property():
 def test_criterion_8_two_part_bound_is_strict_on_the_grid():
     started = time.perf_counter()
     grid = figure_catalog("fig2_G")
-    exact = phylogeny_number_exact(grid, want_witness=False).value
+    exact = phylogeny_number_exact(grid).value
     assert exact == 2
     edges = grid.sorted_edges()
     best = -1
@@ -298,7 +298,7 @@ def test_criterion_9_difference_family():
         graph, p_result, k = difference_family(l, verify_k=l <= 2)
         assert p_result.value - k + 1 == l
         if l <= 2:
-            solver = phylogeny_number_exact(graph, want_witness=False)
+            solver = phylogeny_number_exact(graph)
             assert solver.value == p_result.value
     print(
         f"criterion 9: PASS - difference identity holds for l in 0..4 "

@@ -11,8 +11,8 @@ import pytest
 from phylokit.cli import main
 from phylokit.derived import digraph_to_dot, graph_to_dot
 from phylokit.formulas import FAMILY_CAP
-from phylokit.generate import GENERATOR_CAP
-from phylokit.graphs import format_graph, cycle_graph, parse_digraph, parse_graph
+from phylokit.generate import GENERATOR_CAP, graph6_decode
+from phylokit.graphs import Graph, format_graph, cycle_graph, parse_digraph, parse_graph
 from phylokit.witness import figure_catalog
 from conftest import diamond_necklace
 
@@ -67,8 +67,6 @@ class TestCompute:
     def test_size_cap_exit(self, tmp_path, capsys):
         # a 13-cycle with a K4 chorded in stays irreducible and defeats
         # every closed form, so only the (capped) search remains
-        from phylokit.graphs import Graph
-
         g = Graph(13, list(cycle_graph(13).edges) + [(0, 2), (0, 3), (1, 3)])
         path = tmp_path / "chorded13.graph"
         path.write_text(format_graph(g))
@@ -95,8 +93,6 @@ class TestCompute:
     def test_extras_cap_fails_loudly(self, tmp_path, capsys):
         # the octahedron defeats every closed form and needs one extra, so
         # only the search can answer and a cap of zero must abort loudly
-        from phylokit.graphs import Graph
-
         edges = [
             (a, b)
             for a in range(6)
@@ -109,6 +105,39 @@ class TestCompute:
         assert "0 extra" in capsys.readouterr().err
         assert main(["compute", str(path), "--max-extras", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 1
+
+    @pytest.mark.parametrize("witness", [False, True])
+    def test_extras_cap_below_a_closed_form_value(self, tmp_path, capsys, witness):
+        # DNw has p = 1 by formula:two-triangles-sharing-edge; whether the
+        # value exceeds --max-extras does not depend on --witness
+        path = tmp_path / "dnw.graph"
+        path.write_text(format_graph(graph6_decode("DNw")))
+        argv = ["compute", str(path), "--max-extras", "0"]
+        if witness:
+            argv += ["--witness", str(tmp_path / "dnw.wit")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: no certificate within 0 extra vertices\n"
+
+    def test_closed_form_witness_past_the_cap(self, tmp_path, capsys):
+        # the triangle 012, the path 0-3-4-5-6-1 and the cycle
+        # 2-7-8-9-10-11-12-2: p = 1 by formula:one-triangle, and no clause
+        # of the sandwich [1, 2] fires, so only the search gives a witness
+        g = Graph(13, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 1),
+                       (2, 7), (7, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 2)])
+        path = tmp_path / "kernel13.graph"
+        path.write_text(format_graph(g))
+        witness = tmp_path / "kernel13.wit"
+        assert main(["compute", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == 1 and payload["method"] == "formula:one-triangle"
+        assert main(["compute", str(path), "--witness", str(witness)]) == 3
+        assert capsys.readouterr().err == (
+            "error: exact solver capped at 12 vertices (got 13) (pass --force to search anyway)\n"
+        )
+        assert main(["compute", str(path), "--force", "--witness", str(witness)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 1
+        assert main(["verify", str(path), str(witness)]) == 0
+        assert json.loads(capsys.readouterr().out)["extra_count"] == 1
 
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_catalog(tmp_path, "fig4_G2")
@@ -254,15 +283,7 @@ class TestSweep:
         from phylokit.sweep import SweepRecord
 
         def fake_run_sweep(graphs, options, threads=None):
-            yield SweepRecord(
-                graph_id="C~",
-                n=4, m=6, t=4, d=0,
-                has_k4=True, diamonds_edge_disjoint=True,
-                exact=0, formula=None, clique_cover_bound=0,
-                bounds_lower=None, bounds_upper=None, bounds_exact=None,
-                oracle=None, oracle_infeasible=False,
-                checks={"witness_valid": False},
-            )
+            yield SweepRecord({"id": "C~", "n": 4, "m": 6, "exact": 0}, {"witness_valid": False})
 
         monkeypatch.setattr(cli_module, "run_sweep", fake_run_sweep)
         assert main(["sweep", "--max-n", "4"]) == 4

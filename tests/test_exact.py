@@ -42,7 +42,7 @@ from phylokit.witness import figure_catalog
 class TestSolverValues:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_complete_graphs_are_free(self, n):
-        assert phylogeny_number_exact(complete_graph(n), want_witness=False).value == 0
+        assert phylogeny_number_exact(complete_graph(n)).value == 0
 
     def test_four_cycle(self):
         assert phylogeny_number_exact(cycle_graph(4)).value == 1
@@ -107,7 +107,7 @@ class TestOracle:
 
     def test_agrees_with_solver_up_to_five_vertices(self):
         for g in connected_graphs_upto(5):
-            exact = phylogeny_number_exact(g, want_witness=False).value
+            exact = phylogeny_number_exact(g).value
             try:
                 assert oracle_phylogeny_number(g, 3) == exact
             except Infeasible:
@@ -244,7 +244,7 @@ class TestDifferenceAtSmallN:
             if g.n < 2:
                 continue
             # the solver validates its witness whether or not it returns it
-            value = phylogeny_number_exact(g, want_witness=False).value - competition_number_exact(g) + 1
+            value = phylogeny_number_exact(g).value - competition_number_exact(g) + 1
             counts[value] += 1
             first.setdefault(value, graph6_encode(g))
         assert counts == {0: 956, 1: 39}
@@ -279,7 +279,7 @@ class TestLabelIndependence:
             rng.shuffle(perm)
             h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
             res = phylogeny_number_exact(h)
-            assert res.value == phylogeny_number_exact(g, want_witness=False).value
+            assert res.value == phylogeny_number_exact(g).value
             cert = res.witness
             assert cert.extra_count == res.value
             validate_phylogeny_digraph(cert.digraph, cert.base, h)

@@ -8,7 +8,13 @@ from itertools import combinations
 import pytest
 
 from conftest import glued_block_graphs, labelled_graphs
-from phylokit.errors import ConditionViolated, HypothesisViolated, NotTriangleFree, TooLarge
+from phylokit.errors import (
+    BudgetExhausted,
+    ConditionViolated,
+    HypothesisViolated,
+    NotTriangleFree,
+    TooLarge,
+)
 from phylokit.exact import oracle_phylogeny_number, phylogeny_number_exact
 from phylokit.formulas import (
     bounds_k4free,
@@ -138,7 +144,7 @@ class TestFormulaDispatch:
         g = Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (0, 5), (3, 5), (1, 6), (4, 6)])
         res = formula_dispatch(g)
         assert res.value == 1
-        assert phylogeny_number_exact(g, want_witness=False).value == 1
+        assert phylogeny_number_exact(g).value == 1
 
     def test_component_sum(self):
         g = disjoint_union(cycle_graph(4), cycle_graph(5))
@@ -151,7 +157,7 @@ class TestFormulaDispatch:
         g = graph6_decode("G@@K^o")
         res = formula_dispatch(g)
         assert res.value == 1 and res.method == "formula:two-triangles-edge-disjoint"
-        assert phylogeny_number_exact(g, want_witness=False).value == 1
+        assert phylogeny_number_exact(g).value == 1
 
     def test_three_triangles_not_covered(self):
         assert formula_dispatch(figure_catalog("fig3_G2")).kind == "none"
@@ -161,7 +167,7 @@ class TestFormulaDispatch:
             res = formula_dispatch(g)
             if res.kind != "exact":
                 continue
-            assert res.value == phylogeny_number_exact(g, want_witness=False).value
+            assert res.value == phylogeny_number_exact(g).value
 
 
 class TestBoundsSandwich:
@@ -222,7 +228,7 @@ class TestBoundsSandwich:
             if not (report.has_k4 or shared):
                 continue
             broken = "both" if report.has_k4 and shared else "K4" if report.has_k4 else "shared diamonds"
-            p = phylogeny_number_exact(g, want_witness=False).value
+            p = phylogeny_number_exact(g).value
             counts[broken] += 1
             counts[broken, "lower fails"] += p < max(0, g.m - g.n - 2 * report.t + report.d + 1)
             counts[broken, "upper fails"] += p > max(0, g.m - g.n - report.t + 1)
@@ -326,7 +332,7 @@ class TestDecompositionBound:
 
     def test_bound_never_exceeds_exact_on_small_graphs(self):
         for g in connected_graphs_upto(5):
-            exact = phylogeny_number_exact(g, want_witness=False).value
+            exact = phylogeny_number_exact(g).value
             whole = Subgraph.from_edges(g.edges, extra_vertices=range(g.n))
             try:
                 bound = lower_bound_decomposition(g, [whole]).value
@@ -434,10 +440,10 @@ class TestReductions:
 
     def test_value_preserved_up_to_seven_vertices(self):
         for g in connected_graphs_upto(7):
-            direct = phylogeny_number_exact(g, want_witness=False).value
+            direct = phylogeny_number_exact(g).value
             kernels, _ = reduce_graph(g)
             total = sum(
-                phylogeny_number_exact(k, want_witness=False).value for k in kernels
+                phylogeny_number_exact(k).value for k in kernels
             )
             assert total == direct
 
@@ -457,7 +463,7 @@ class TestReductions:
             cert = result.witness
             validate_phylogeny_digraph(cert.digraph, cert.base, g)
             assert cert.extra_count == result.value
-            assert result.value == phylogeny_number_exact(g, want_witness=False).value
+            assert result.value == phylogeny_number_exact(g).value
 
     def test_lift_produces_valid_witness(self):
         g = figure_catalog("fig4_G2")
@@ -504,7 +510,7 @@ class TestDecomposeEqual:
             Subgraph.from_edges([(2, 3), (2, 4), (3, 4)]),
         ]
         assert decompose_equal(g, parts).value == 0
-        assert phylogeny_number_exact(g, want_witness=False).value == 0
+        assert phylogeny_number_exact(g).value == 0
 
     def test_single_part_is_identity(self):
         g = cycle_graph(5)
@@ -602,8 +608,29 @@ class TestAutoPipeline:
     def test_agrees_with_solver_up_to_six_vertices(self):
         for g in connected_graphs_upto(6):
             auto = phylogeny_number_auto(g).value
-            direct = phylogeny_number_exact(g, want_witness=False).value
+            direct = phylogeny_number_exact(g).value
             assert auto == direct
+
+    def test_max_extras_bounds_the_value_with_or_without_witness(self):
+        # the pipeline fails exactly when its value exceeds max_extras,
+        # whichever route found the value; a witness changes nothing, also
+        # where a closed form gives the value and the search the witness,
+        # as on DNw (p = 1 by formula:two-triangles-sharing-edge)
+        positive = [(g, p) for g in connected_graphs_upto(7) if (p := phylogeny_number_auto(g).value)]
+        assert len(positive) == 438
+        for g, p in positive:
+            for want_witness in (False, True):
+                with pytest.raises(BudgetExhausted, match=f"no certificate within {p - 1} extra vertices"):
+                    phylogeny_number_auto(g, want_witness=want_witness, max_extras=p - 1)
+                assert phylogeny_number_auto(g, want_witness=want_witness, max_extras=p).value == p
+
+    def test_max_extras_bounds_the_sum_over_kernels(self):
+        # two disjoint 4-cycles, p = 2, each kernel within a budget of 1
+        g = disjoint_union(cycle_graph(4), cycle_graph(4))
+        for want_witness in (False, True):
+            with pytest.raises(BudgetExhausted, match="no certificate within 1 extra vertices"):
+                phylogeny_number_auto(g, want_witness=want_witness, max_extras=1)
+            assert phylogeny_number_auto(g, want_witness=want_witness, max_extras=2).value == 2
 
 
 class TestDifferenceFamily:
@@ -617,7 +644,7 @@ class TestDifferenceFamily:
     @pytest.mark.parametrize("l", [1, 2])
     def test_exact_cross_checks_small(self, l):
         graph, p_result, k = difference_family(l, verify_k=True)
-        assert phylogeny_number_exact(graph, want_witness=False).value == p_result.value
+        assert phylogeny_number_exact(graph).value == p_result.value
         assert k == 1
 
     def test_l_zero_single_edge(self):

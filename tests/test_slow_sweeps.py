@@ -42,7 +42,7 @@ def test_sandwich_cover_and_constructions_at_eight_vertices():
     assert len(scoped) > 2000
     for g in scoped:
         rep = census(g)
-        exact = phylogeny_number_exact(g, want_witness=False).value
+        exact = phylogeny_number_exact(g).value
         lower = g.m - g.n - 2 * rep.t + rep.d + 1
         upper = g.m - g.n - rep.t + 1
         assert lower <= exact <= upper
@@ -82,7 +82,7 @@ def test_oracle_agreement_at_seven_vertices_up_to_twelve_edges():
     for g in connected_graphs(7):
         if g.m > 12:
             continue
-        exact = phylogeny_number_exact(g, want_witness=False).value
+        exact = phylogeny_number_exact(g).value
         try:
             assert oracle_phylogeny_number(g, 3) == exact
         except Infeasible:

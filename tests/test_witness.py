@@ -30,6 +30,7 @@ from phylokit.sweep import in_k4free_diamond_scope, run_sweep
 from phylokit.witness import (
     FIGURE_NAMES,
     Subgraph,
+    check_subgraph_clique_conditions,
     construct_gminus_caring,
     construct_k4free_upper,
     construct_triangle_free,
@@ -98,7 +99,7 @@ class TestCaringConstruction:
             expected = g.m - g.n - 2 * rep.t + rep.d + len(rep.g_minus_components)
             assert cert.extra_count == expected
             if optimal:
-                assert cert.extra_count == phylogeny_number_exact(g, want_witness=False).value
+                assert cert.extra_count == phylogeny_number_exact(g).value
 
 
 class TestUpperConstruction:
@@ -187,7 +188,7 @@ class TestUpperConstruction:
             assert cert.extra_count <= g.m - g.n - rep.t + 1
             assert replay_trace(g, trace.steps) == cert.digraph
             if len(rep.g_minus_components) == 2 * rep.t - rep.d + 1:
-                exact = phylogeny_number_exact(g, want_witness=False).value
+                exact = phylogeny_number_exact(g).value
                 assert cert.extra_count == exact
 
     def test_ring_of_triangles_in_well_under_a_second(self):
@@ -247,6 +248,25 @@ class TestSubgraph:
             Subgraph(frozenset({0, 1}), frozenset({(1, 0)})).check_within(g)
         with pytest.raises(ValueError, match="not a host edge"):
             Subgraph.from_edges([(0, 2)]).check_within(g)
+
+    def test_clique_conditions_hold_on_a_well_separated_subgraph(self):
+        # the edge 01 of the path 0-1-2 is a maximal host clique and meets
+        # the outside clique 12 in one vertex only
+        check_subgraph_clique_conditions(path_graph(3), Subgraph.from_edges([(0, 1)]))
+
+    def test_clique_condition_one_names_a_clique_not_maximal_in_the_host(self):
+        with pytest.raises(ConditionViolated) as caught:
+            check_subgraph_clique_conditions(complete_graph(3), Subgraph.from_edges([(0, 1)]))
+        assert caught.value.condition == "i"
+        assert caught.value.detail == [0, 1]
+
+    def test_clique_condition_two_names_cliques_sharing_two_vertices(self):
+        # the diamond's triangles 012 and 123 share the edge 12
+        diamond = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+        with pytest.raises(ConditionViolated) as caught:
+            check_subgraph_clique_conditions(diamond, Subgraph.from_edges([(0, 1), (0, 2), (1, 2)]))
+        assert caught.value.condition == "ii"
+        assert caught.value.detail == ((0, 1, 2), (1, 2, 3))
 
 
 class TestRestriction:
