@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from .derived import certificate_to_dot, digraph_to_dot, graph_to_dot, validate_phylogeny_digraph
-from .errors import BudgetExhausted, CertificateError, ParseError, PhylokitError, TooLarge
-from .exact import SOLVER_CAP_DEFAULT
+from .errors import CertificateError, ParseError, PhylokitError, TooLarge
+from .exact import SEARCH_NODE_BUDGET
 from .formulas import (
     bounds_k4free,
     difference_family,
@@ -41,7 +41,7 @@ from .graphs import (
     parse_digraph,
     parse_graph,
 )
-from .structure import census_json
+from .structure import THETA_CAP_DEFAULT, census_json
 from .sweep import SweepOptions, run_sweep, sweep_graphs
 from .witness import FIGURE_NAMES, figure_catalog
 
@@ -64,18 +64,17 @@ def _at_least(value: int | None, least: int, flag: str) -> None:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    _at_least(args.max_n, 0, "--max-n")
+    _at_least(args.max_nodes, 1, "--max-nodes")
     _at_least(args.max_extras, 0, "--max-extras")
     _at_least(args.time_budget_ms, 0, "--time-budget-ms")
     graph = _read(args.file, parse_graph)
-    cap = graph.n if args.force else args.max_n
     deadline = None
     if args.time_budget_ms is not None:
         deadline = time.monotonic() + args.time_budget_ms / 1000.0
     started = time.perf_counter()
     result = phylogeny_number_auto(
         graph,
-        cap=cap,
+        max_nodes=args.max_nodes,
         want_witness=args.witness is not None,
         max_extras=args.max_extras,
         deadline=deadline,
@@ -155,7 +154,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     options = SweepOptions(
         only_k4free_diamond_scope=args.only_k4free_diamond_scope,
         with_oracle=args.with_oracle,
-        solver_cap=max(args.max_n, SOLVER_CAP_DEFAULT),
+        theta_cap=max(args.max_n, THETA_CAP_DEFAULT),
     )
     graphs = list(sweep_graphs(args.max_n, lines))
     for record in run_sweep(graphs, options, threads=args.threads):
@@ -241,8 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="compute the phylogeny number of an edge-list file")
     p.add_argument("file")
     p.add_argument("--witness", metavar="OUT", help="write a certifying digraph here")
-    p.add_argument("--force", action="store_true", help="ignore the solver size cap")
-    p.add_argument("--max-n", type=int, default=SOLVER_CAP_DEFAULT, help="solver size cap")
+    p.add_argument(
+        "--max-nodes",
+        type=int,
+        default=SEARCH_NODE_BUDGET,
+        help="fail when one kernel's search visits more nodes than this",
+    )
     p.add_argument("--max-extras", type=int, default=None, help="fail when the phylogeny number exceeds this")
     p.add_argument("--time-budget-ms", type=int, default=None, help="fail when the search exceeds this")
     p.set_defaults(func=cmd_compute)
@@ -254,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="lower/upper bounds without full search")
     p.add_argument("file")
-    p.add_argument("--max-n", type=int, default=SOLVER_CAP_DEFAULT)
+    p.add_argument("--max-n", type=int, default=THETA_CAP_DEFAULT)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("census", help="triangle/diamond census as JSON")
     p.add_argument("file")
-    p.add_argument("--max-n", type=int, default=SOLVER_CAP_DEFAULT)
+    p.add_argument("--max-n", type=int, default=THETA_CAP_DEFAULT)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("sweep", help="verify all claims over all small connected graphs")
@@ -268,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         required=True,
         help="largest vertex count to generate; with --graph6 it filters no lines "
-        f"and only raises the solver cap above {SOLVER_CAP_DEFAULT}",
+        f"and only raises the cap on theta_e above {THETA_CAP_DEFAULT}",
     )
     p.add_argument("--graph6", metavar="FILE", help="read graph6 lines from FILE ('-' = stdin)")
     p.add_argument(
@@ -323,10 +326,7 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PARSE
     except TooLarge as exc:
-        # --force lifts the solver's size cap, not a search budget
-        size_cap = args.command == "compute" and not isinstance(exc, BudgetExhausted)
-        hint = " (pass --force to search anyway)" if size_cap else ""
-        print(f"error: {exc}{hint}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
 
 

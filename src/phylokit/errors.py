@@ -30,10 +30,7 @@ class TooLarge(PhylokitError):
 
 
 class BudgetExhausted(TooLarge):
-    """An exact search ran out of its extra-count or time budget.
-
-    A :class:`TooLarge` that lifting a size cap cannot cure.
-    """
+    """An exact search ran out of its node, extra-count or time budget."""
 
 
 class Infeasible(PhylokitError):

@@ -18,36 +18,43 @@ Acyclicity is tested in constant time: every vertex keeps the mask of
 the vertices it reaches along arcs, so a head h may take a new tail a
 iff h does not reach a yet.
 
-Both exact solvers search the canonical relabelling of their input
-(:func:`generate.canonical_labeling`), so the branch order refers to
-canonical ids and isomorphic inputs run the identical search.  A
-canonically labelled input, such as every generator graph, is searched
-as given.  The same labelling yields generators of the automorphism
-group, carried onto the searched graph, and the search prunes by them:
-a node keeps the generators that fix every move on its path (they fix
-its in-sets and extras), and once a move has failed, a later sibling in
-its orbit under them is skipped, since an automorphism maps the failed
-subtree onto the sibling's and feasibility is invariant under it.
+Inputs of at most ``LABELLING_CAP`` vertices are searched in their
+canonical relabelling (:func:`generate.canonical_labeling`), so the
+branch order refers to canonical ids and isomorphic inputs run the
+identical search.  A canonically labelled input, such as every generator
+graph, is searched as given.  The same labelling yields generators of
+the automorphism group, carried onto the searched graph, and the search
+prunes by them: a node keeps the generators that fix every move on its
+path (they fix its in-sets and extras), and once a move has failed, a
+later sibling in its orbit under them is skipped, since an automorphism
+maps the failed subtree onto the sibling's and feasibility is invariant
+under it.  Larger inputs are searched in their own ids with no
+symmetries: canonical labelling has no budget, and past that size it
+can cost more than the search.
 
 Both prunings cut only subtrees without a solution, so the first
 success in depth-first order, and every value and witness, stay as
 without them.
 
-The phylogeny search always branches on the lowest uncovered edge.  The
-competition search does so only until the first child of a budget's run
-fails; from then on each node branches on the uncovered edge with the
-fewest live moves, the lowest on ties (fail-first, Haralick and Elliott
-1980), and an edge with none, a dead edge, cuts the node.  The moves at
-a node are complete for whichever uncovered edge it branches on, so
-values stay the same; a run that never backtracks never switches and
-assembles what the lowest-edge order would.  Orbit pruning skips a move
-only after a failure, so the switch falls at the same node with and
-without it, and the pruned search still assembles what the unpruned one
-does.
+Both searches branch on the lowest uncovered edge until the first child
+of a budget's run fails; from then on each node branches on the
+uncovered edge with the fewest live moves, the lowest on ties
+(fail-first, Haralick and Elliott 1980), and an edge with none, a dead
+edge, cuts the node.  The moves at a node are complete for whichever
+uncovered edge it branches on, so values do not depend on the rule.
+Orbit pruning skips a move only after a failure, so the switch falls at
+the same node with and without it, and the pruned search still
+assembles what the unpruned one does.
+
+The phylogeny search has a node budget: one solver call may visit
+``max_nodes`` search nodes over all its runs (``SEARCH_NODE_BUDGET`` by
+default), and the next node raises :class:`BudgetExhausted`.  It counts
+nodes, not seconds, so an input gets the same outcome on any host.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Sequence
 
@@ -56,11 +63,10 @@ from .errors import BudgetExhausted, CrossCheckFailed, Infeasible, TooLarge
 from .generate import _labelling, _relabel
 from .graphs import Graph, bits, connected_components
 from .results import PhyloResult
-from .structure import THETA_CAP_DEFAULT as SOLVER_CAP_DEFAULT
-from .structure import EdgeCliqueTable, edge_clique_table, triangle_edges
+from .structure import THETA_CAP_DEFAULT, EdgeCliqueTable, edge_clique_table, triangle_edges
 
 __all__ = [
-    "SOLVER_CAP_DEFAULT",
+    "SEARCH_NODE_BUDGET",
     "phylogeny_number_exact",
     "oracle_phylogeny_number",
     "competition_number_exact",
@@ -68,28 +74,31 @@ __all__ = [
 
 ORACLE_VERTEX_CAP = 7
 ORACLE_EXTRA_CAP = 3
+# the nodes one phylogeny solver call may visit, 8 to 12 s at n = 16 on a
+# 2-core host; and the largest input searched in its canonical labelling
+SEARCH_NODE_BUDGET = 1_000_000
+LABELLING_CAP = 12
 
 
 class _HeadSearch:
     """Depth-first feasibility search over head assignments for a fixed budget.
 
     Branches on an uncovered edge uv of the graph it is given (the
-    solvers give it a canonical one): every candidate head h of uv
-    (ascending id), extending h's in-set by the endpoints other than h,
-    then a fresh extra per maximal clique containing uv, in the order of
-    the graph's :class:`EdgeCliqueTable`.  Completeness: any valid
+    solvers give it the canonical relabelling of a small input): every
+    candidate head h of uv (ascending id), extending h's in-set by the
+    endpoints other than h, then a fresh extra per maximal clique
+    containing uv, in the order of the graph's :class:`EdgeCliqueTable`.  Completeness: any valid
     assignment covers uv by some head's in-set or some extra's clique,
     so one of these moves leads towards it, whichever uncovered edge is
     chosen; replaying the assignment this way, edge by edge in any
     order, reaches it.
 
-    Which edge: the lowest uncovered one, and with ``fail_first`` the
-    same until the first child of the run fails.  From then on it is the
-    uncovered edge with the fewest live moves, the lowest on ties: head
-    moves that pass the clique test and the cycle test, plus its cliques
-    while extras remain.  The scan stops at the first edge with at most
-    one, and an edge with none cuts the node, since both tests stay
-    failed further down the branch.
+    Which edge: the lowest uncovered one until the first child of the
+    run fails.  From then on it is the uncovered edge with the fewest
+    live moves, the lowest on ties: head moves that pass the clique test
+    and the cycle test, plus its cliques while extras remain.  The scan
+    stops at the first edge with at most one, and an edge with none cuts
+    the node, since both tests stay failed further down the branch.
 
     The two solvers differ only in the moves built here.  For the
     phylogeny number the head joins the clique it marries, so it must be
@@ -132,16 +141,12 @@ class _HeadSearch:
     with and without orbit pruning, since that skips a move only after a
     failure, and the edge then chosen depends on the node's state alone;
     so it keeps that equality too.
+
+    ``nodes`` adds up every run's nodes, and ``max_nodes`` bounds that
+    sum: the node past it raises :class:`BudgetExhausted`.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        head_joins: bool,
-        symmetries: Sequence[Sequence[int]] = (),
-        fail_first: bool = False,
-    ):
-        self.fail_first = fail_first
+    def __init__(self, graph: Graph, head_joins: bool, symmetries: Sequence[Sequence[int]] = ()):
         self.nodes = 0  # every run's nodes, added up
         self.n = n = graph.n
         self.table = table = edge_clique_table(graph)
@@ -176,31 +181,36 @@ class _HeadSearch:
         # mask of the points it moves, as a mask outside that is fixed
         self.symmetries = tuple(_on_keys(perm, n) for perm in symmetries)
 
-    def deepen(self, start: int, max_extras: int | None = None, deadline: float | None = None) -> int:
+    def deepen(
+        self,
+        start: int,
+        max_extras: int | None = None,
+        deadline: float | None = None,
+        max_nodes: int | None = None,
+    ) -> int:
         """The least budget from ``start`` on at which the search succeeds.
 
-        ``max_extras`` and ``deadline`` (a ``time.monotonic`` instant,
-        checked at every search node) abort with :class:`BudgetExhausted`
-        instead of truncating.  One dedicated extra per edge always
-        succeeds, so deepening past ``m`` is a bug.
+        ``max_extras``, ``deadline`` (a ``time.monotonic`` instant) and
+        ``max_nodes`` (on ``self.nodes``), the last two checked at every
+        search node, abort with :class:`BudgetExhausted` instead of
+        truncating.  One dedicated extra per edge always succeeds, so
+        deepening past ``m`` is a bug.
         """
         budget = start
         while True:
             if max_extras is not None and budget > max_extras:
                 raise BudgetExhausted(f"no certificate within {max_extras} extra vertices")
-            if self.run(budget, deadline):
+            if self.run(budget, deadline, max_nodes):
                 return budget
             budget += 1
             if budget > len(self.table.edges):
                 raise CrossCheckFailed("deepening exceeded the trivial upper bound")
 
-    def run(self, budget: int, deadline: float | None = None) -> bool:
+    def run(self, budget: int, deadline: float | None = None, max_nodes: int | None = None) -> bool:
         """One depth-first pass at ``budget``; its state is ``self.assembly``.
 
-        ``deadline`` is as for :meth:`deepen`.  The pass adds the nodes it
-        visits to ``self.nodes`` and sets ``self.switched``: whether it
-        branched fail-first at some node (always False without
-        ``fail_first``).
+        ``deadline`` and ``max_nodes`` are as for :meth:`deepen`.  The pass
+        adds the nodes it visits to ``self.nodes``.
         """
         n = self.n
         all_covered = self.table.full
@@ -215,9 +225,10 @@ class _HeadSearch:
         in_mask = self.assembly.in_set
         extras = self.assembly.extras
         vertex_bit = [1 << v for v in range(n)]
-        fail_first = self.fail_first
-        switched = False  # set once a child fails, in fail-first mode
+        switched = False  # set once a child fails
         nodes = 0
+        # the nodes this pass may visit, or as good as unbounded
+        spare_nodes = sys.maxsize if max_nodes is None else max_nodes - self.nodes
 
         def most_constrained(remaining: int, desc: list[int]) -> int:
             # the uncovered edge with the fewest live moves (head moves that
@@ -257,6 +268,8 @@ class _HeadSearch:
             # the key of the move that led here (0, fixed by all, at the root)
             nonlocal switched, nodes
             nodes += 1
+            if nodes > spare_nodes:
+                raise BudgetExhausted(f"search budget of {max_nodes} nodes exhausted")
             if deadline is not None and monotonic() > deadline:
                 raise BudgetExhausted("time budget exhausted before the search finished")
             if covered == all_covered:
@@ -294,7 +307,7 @@ class _HeadSearch:
                     return True
                 in_mask[h] = saved
                 desc[:] = saved_desc
-                switched = fail_first
+                switched = True
                 if perms:
                     failed |= _orbit_of(key, perms)
             if len(extras) < budget:
@@ -305,7 +318,7 @@ class _HeadSearch:
                     if dfs(covered | edge_mask, desc, perms, clique):
                         return True
                     extras.pop()
-                    switched = fail_first
+                    switched = True
                     if perms:
                         failed |= _orbit_of(clique, perms)
             return False
@@ -314,7 +327,6 @@ class _HeadSearch:
             return dfs(0, [0] * n, self.symmetries, 0)
         finally:
             self.nodes += nodes
-            self.switched = switched
 
 
 def _image(perm: Sequence[int], mask: int) -> int:
@@ -373,7 +385,7 @@ def _canonical_form(graph: Graph) -> tuple[Graph, tuple[int, ...] | None, list[t
 
 def phylogeny_number_exact(
     graph: Graph,
-    cap: int = SOLVER_CAP_DEFAULT,
+    max_nodes: int = SEARCH_NODE_BUDGET,
     want_witness: bool = True,
     max_extras: int | None = None,
     deadline: float | None = None,
@@ -383,18 +395,21 @@ def phylogeny_number_exact(
     Iterative deepening on the extra count starting from zero guarantees
     minimality without any bound formula; the returned witness is the
     first optimal assignment in the documented branch order on the
-    canonical relabelling, mapped back to the input's ids and validated
-    against the input, so repeated runs give identical output.
-    ``max_extras`` and ``deadline`` (a ``time.monotonic`` instant) abort
-    loudly instead of truncating.  The witness is always built and
-    validated; ``want_witness=False``, which only the benchmark's
-    reference builder passes, leaves it off the result.
+    canonical relabelling (on the input itself past ``LABELLING_CAP``
+    vertices), mapped back to the input's ids and validated against the
+    input, so repeated runs give identical output.  ``max_nodes`` (search
+    nodes over all budgets), ``max_extras`` and ``deadline`` (a
+    ``time.monotonic`` instant) abort loudly with
+    :class:`BudgetExhausted` instead of truncating.  The witness is
+    always built and validated; ``want_witness=False``, which only the
+    benchmark's reference builder passes, leaves it off the result.
     """
-    if graph.n > cap:
-        raise TooLarge(f"exact solver capped at {cap} vertices (got {graph.n})")
-    searched, order, symmetries = _canonical_form(graph)
+    if graph.n > LABELLING_CAP:
+        searched, order, symmetries = graph, None, []
+    else:
+        searched, order, symmetries = _canonical_form(graph)
     search = _HeadSearch(searched, head_joins=True, symmetries=symmetries)
-    value = search.deepen(0, max_extras, deadline)
+    value = search.deepen(0, max_extras, deadline, max_nodes)
     assembly = search.assembly if order is None else search.assembly.relabelled(order)
     witness = assembly.certificate(graph)
     if witness.extra_count != value:
@@ -563,14 +578,14 @@ def competition_number_exact(graph: Graph) -> int:
     :class:`_HeadSearch`): most of the work is in proving the budget
     k - 1 infeasible, where the most constrained edge fails soonest.
     """
-    if graph.n > SOLVER_CAP_DEFAULT:
-        raise TooLarge(f"competition solver capped at {SOLVER_CAP_DEFAULT} vertices (got {graph.n})")
+    if graph.n > THETA_CAP_DEFAULT:
+        raise TooLarge(f"competition solver capped at {THETA_CAP_DEFAULT} vertices (got {graph.n})")
     if graph.m == 0:
         return 0
     if not triangle_edges(graph) and len(connected_components(graph)) == 1:
         return graph.m - graph.n + 2
     searched, _, symmetries = _canonical_form(graph)
-    search = _HeadSearch(searched, head_joins=False, symmetries=symmetries, fail_first=True)
+    search = _HeadSearch(searched, head_joins=False, symmetries=symmetries)
     return search.deepen(_competition_start(graph, search.table))
 
 

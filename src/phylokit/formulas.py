@@ -26,7 +26,7 @@ from .errors import (
     TooLarge,
 )
 from .exact import (
-    SOLVER_CAP_DEFAULT,
+    SEARCH_NODE_BUDGET,
     competition_number_exact,
     phylogeny_number_exact,
 )
@@ -42,6 +42,7 @@ from .graphs import (
 )
 from .results import PhyloResult
 from .structure import (
+    THETA_CAP_DEFAULT,
     StructureReport,
     census,
     edge_clique_cover_number,
@@ -186,7 +187,7 @@ def clique_cover_bound(n: int, theta: int) -> int:
     return max(0, theta - n + 1) if n else 0
 
 
-def lower_bound_clique_cover(graph: Graph, cap: int = SOLVER_CAP_DEFAULT) -> PhyloResult:
+def lower_bound_clique_cover(graph: Graph, cap: int = THETA_CAP_DEFAULT) -> PhyloResult:
     """The clique-cover lower bound theta_e - n + 1, clamped at zero."""
     return PhyloResult(
         kind="lower_bound",
@@ -408,7 +409,7 @@ def decompose_equal(graph: Graph, parts: Sequence[Subgraph]) -> PhyloResult:
 
 def _kernel_result(
     kernel: Graph,
-    cap: int,
+    max_nodes: int,
     want_witness: bool,
     max_extras: int | None = None,
     deadline: float | None = None,
@@ -442,7 +443,7 @@ def _kernel_result(
         value, method = formula.value, formula.method
     searched = None
     if value is None or (want_witness and witness is None):
-        solved = phylogeny_number_exact(kernel, cap=cap, max_extras=max_extras, deadline=deadline)
+        solved = phylogeny_number_exact(kernel, max_nodes=max_nodes, max_extras=max_extras, deadline=deadline)
         searched = solved.value
         if value is None:
             value, method = searched, solved.method
@@ -457,23 +458,24 @@ def _kernel_result(
 
 def phylogeny_number_auto(
     graph: Graph,
-    cap: int = SOLVER_CAP_DEFAULT,
+    max_nodes: int = SEARCH_NODE_BUDGET,
     want_witness: bool = False,
     max_extras: int | None = None,
     deadline: float | None = None,
 ) -> PhyloResult:
     """Reduce, then per kernel: closed form, sandwich equality, or search.
 
-    Raises :class:`TooLarge` when a kernel that needs the search exceeds
-    the solver cap or the time budget: one that defeats every formula,
-    or, when a witness is asked, one valued by a closed form that no
-    sandwich construction meets.  Raises :class:`BudgetExhausted` when
-    the value exceeds ``max_extras``, whichever route found it; each
-    kernel's search stops early past it.
+    Raises :class:`BudgetExhausted` when a kernel that needs the search
+    spends ``max_nodes`` search nodes or runs past ``deadline``: one that
+    defeats every formula, or, when a witness is asked, one valued by a
+    closed form that no sandwich construction meets.  Each kernel's
+    search has its own ``max_nodes``.  Also raises it when the value
+    exceeds ``max_extras``, whichever route found it; each kernel's
+    search stops early past it.
     """
     kernels, log = reduce_graph(graph)
     results = [
-        _kernel_result(k, cap, want_witness, max_extras, deadline) for k in kernels
+        _kernel_result(k, max_nodes, want_witness, max_extras, deadline) for k in kernels
     ]
     total = sum(r.value for r in results)
     if max_extras is not None and total > max_extras:
@@ -505,7 +507,7 @@ def difference_family(l: int, verify_k: bool = False) -> tuple[Graph, PhyloResul
     decomposition, and on the competition side a single added vertex fed
     by the grid realization's prey slots absorbs the whole clique, so the
     competition number is 1.  ``verify_k`` recomputes it with the exact
-    search, which requires the graph to fit the solver cap.
+    search, which requires the graph to fit the competition solver's cap.
     """
     if l < 0:
         raise ValueError(f"family parameter must be non-negative (got {l})")

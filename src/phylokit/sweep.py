@@ -15,11 +15,11 @@ from typing import Iterable, Iterator
 
 from .derived import check_nontriangle_edge_arcs, validate_phylogeny_digraph
 from .errors import ArcRuleViolated, CertificateError, HypothesisViolated, Infeasible
-from .exact import SOLVER_CAP_DEFAULT, oracle_phylogeny_number, phylogeny_number_exact
+from .exact import oracle_phylogeny_number, phylogeny_number_exact
 from .formulas import bounds_k4free, clique_cover_bound, formula_dispatch
 from .generate import canonical_graph6, connected_graphs_upto, graph6_decode
 from .graphs import Graph
-from .structure import census, edge_clique_cover_number
+from .structure import THETA_CAP_DEFAULT, census, edge_clique_cover_number
 from .witness import construct_gminus_caring, construct_k4free_upper
 
 __all__ = ["SweepRecord", "SweepOptions", "run_sweep", "sweep_graphs"]
@@ -32,7 +32,7 @@ ORACLE_SWEEP_BUDGET = 3
 class SweepOptions:
     only_k4free_diamond_scope: bool = False
     with_oracle: bool = False
-    solver_cap: int = SOLVER_CAP_DEFAULT
+    theta_cap: int = THETA_CAP_DEFAULT
 
 
 @dataclass
@@ -86,9 +86,10 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
     report = census(graph)
     checks: dict[str, bool] = {}
 
-    # the solver checks its cap before labelling the graph, and the id
-    # right after it reuses that labelling
-    solved = phylogeny_number_exact(graph, cap=options.solver_cap)
+    # theta_e checks its cap before anything labels the graph, whose
+    # labelling has no budget; the id reuses the solver's labelling
+    theta = edge_clique_cover_number(graph, cap=options.theta_cap)
+    solved = phylogeny_number_exact(graph)
     graph_id = canonical_graph6(graph)
     exact = solved.value
     witness = solved.witness
@@ -108,7 +109,6 @@ def sweep_one(graph: Graph, options: SweepOptions = SweepOptions()) -> SweepReco
     if formula_value is not None:
         checks["formula_agrees"] = formula_value == exact
 
-    theta = edge_clique_cover_number(graph, cap=options.solver_cap)
     clique_bound = clique_cover_bound(graph.n, theta)
     checks["clique_cover_bound_holds"] = clique_bound <= exact
 

@@ -6,7 +6,7 @@ import pytest
 
 from phylokit.derived import phylogeny_graph
 from phylokit.generate import canonical_graph, graph6_encode
-from phylokit.graphs import Digraph, Graph, bits
+from phylokit.graphs import Digraph, Graph, bits, connected_components
 
 
 @pytest.fixture
@@ -88,6 +88,28 @@ def diamond_necklace(k: int) -> Graph:
         edges += [(d, n), (n, a), (a, n + 1), (n + 1, d)]
         n += 2
     return Graph(n, edges)
+
+
+def triangle_ring(t: int) -> Graph:
+    """The ring of t triangles: the cycle 0..t-1, and apex t + i on i and i + 1."""
+    cycle = [(i, (i + 1) % t) for i in range(t)]
+    return Graph(2 * t, cycle + [(t + i, v) for i, (u, w) in enumerate(cycle) for v in (u, w)])
+
+
+def connected_gnp_draws(n: int, seed: int, count: int = 2) -> list[Graph]:
+    """The first ``count`` connected G(n, 1/2) draws of ``random.Random(seed)``.
+
+    Each draw takes every pair u < v, in order, with probability 1/2;
+    a disconnected draw is skipped.  The second connected draw at n = 16,
+    seed 2026, exhausts the phylogeny solver's default node budget.
+    """
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        if len(connected_components(g)) == 1:
+            draws.append(g)
+    return draws
 
 
 def naive_connected_graphs(n: int) -> list[Graph]:

@@ -14,7 +14,7 @@ from phylokit.formulas import FAMILY_CAP
 from phylokit.generate import GENERATOR_CAP, graph6_decode
 from phylokit.graphs import Graph, format_graph, cycle_graph, parse_digraph, parse_graph
 from phylokit.witness import figure_catalog
-from conftest import diamond_necklace
+from conftest import connected_gnp_draws, diamond_necklace, triangle_ring
 
 
 def write_catalog(tmp_path, name):
@@ -60,20 +60,51 @@ class TestCompute:
         path = tmp_path / "necklace.graph"
         path.write_text(format_graph(diamond_necklace(k)))
         witness = tmp_path / "necklace.wit"
-        assert main(["compute", str(path), "--force", "--witness", str(witness)]) == 0
+        assert main(["compute", str(path), "--witness", str(witness)]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == k - 1
         assert main(["verify", str(path), str(witness)]) == 0
 
     def test_size_cap_exit(self, tmp_path, capsys):
         # a 13-cycle with a K4 chorded in stays irreducible and defeats
-        # every closed form, so only the (capped) search remains
+        # every closed form, so only the search remains; its size cap is
+        # the node budget, not the vertex count
         g = Graph(13, list(cycle_graph(13).edges) + [(0, 2), (0, 3), (1, 3)])
         path = tmp_path / "chorded13.graph"
         path.write_text(format_graph(g))
-        assert main(["compute", str(path)]) == 3
-        capsys.readouterr()
-        assert main(["compute", str(path), "--force"]) == 0
-        assert json.loads(capsys.readouterr().out)["kind"] == "exact"
+        witness = tmp_path / "chorded13.wit"
+        assert main(["compute", str(path), "--witness", str(witness)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kind"] == "exact" and payload["method"] == "solver"
+        assert main(["verify", str(path), str(witness)]) == 0
+        assert json.loads(capsys.readouterr().out)["extra_count"] == payload["value"]
+        assert main(["compute", str(path), "--max-nodes", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: search budget of 3 nodes exhausted\n" and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name, graph",
+        [
+            ("strip30", Graph(30, [(i, i + 1) for i in range(29)] + [(i, i + 2) for i in range(28)])),
+            ("ring400", triangle_ring(400)),
+        ],
+    )
+    def test_large_kernels_without_a_vertex_cap(self, tmp_path, capsys, name, graph):
+        # each is one block that no closed form values, searched in its own ids
+        path = tmp_path / f"{name}.graph"
+        path.write_text(format_graph(graph))
+        witness = tmp_path / f"{name}.wit"
+        assert main(["compute", str(path), "--witness", str(witness)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == 0 and payload["method"] == "solver"
+        assert main(["verify", str(path), str(witness)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"valid": True, "extra_count": 0}
+
+    def test_node_budget_exit(self, tmp_path, capsys):
+        path = tmp_path / "g16.graph"
+        path.write_text(format_graph(connected_gnp_draws(16, 2026)[1]))
+        assert main(["compute", str(path), "--max-nodes", "10000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: search budget of 10000 nodes exhausted\n" and captured.out == ""
 
     def test_parse_error_exit(self, tmp_path):
         path = tmp_path / "bad.graph"
@@ -130,11 +161,7 @@ class TestCompute:
         assert main(["compute", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == 1 and payload["method"] == "formula:one-triangle"
-        assert main(["compute", str(path), "--witness", str(witness)]) == 3
-        assert capsys.readouterr().err == (
-            "error: exact solver capped at 12 vertices (got 13) (pass --force to search anyway)\n"
-        )
-        assert main(["compute", str(path), "--force", "--witness", str(witness)]) == 0
+        assert main(["compute", str(path), "--witness", str(witness)]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 1
         assert main(["verify", str(path), str(witness)]) == 0
         assert json.loads(capsys.readouterr().out)["extra_count"] == 1
@@ -249,7 +276,7 @@ class TestSweep:
         assert record["clique_cover_bound"] == 0 and record["ok"]
 
     def test_too_large_graph6_exit(self, tmp_path, capsys, monkeypatch):
-        # canonical labelling has no budget, so the solver's cap must fire first
+        # canonical labelling has no budget, so the cap on theta_e must fire first
         import phylokit.sweep as sweep_module
 
         def refuse(graph):
@@ -406,7 +433,7 @@ class TestExitPaths:
             (["sweep", "--max-n", "-3"], 2, "error: --max-n must be at least 1\n"),
             (["sweep", "--max-n", "3", "--threads", "0"], 2, "error: --threads must be at least 1\n"),
             (["sweep", "--max-n", "3", "--threads", "-2"], 2, "error: --threads must be at least 1\n"),
-            (["compute", "{graph}", "--max-n", "-1"], 2, "error: --max-n must be at least 0\n"),
+            (["compute", "{graph}", "--max-nodes", "0"], 2, "error: --max-nodes must be at least 1\n"),
             (["compute", "{graph}", "--max-extras", "-1"], 2, "error: --max-extras must be at least 0\n"),
             (
                 ["compute", "{graph}", "--time-budget-ms", "-5"],
@@ -415,20 +442,16 @@ class TestExitPaths:
             ),
             (["bounds", "{graph}", "--max-n", "-1"], 2, "error: --max-n must be at least 0\n"),
             (["census", "{graph}", "--max-n", "-1"], 2, "error: --max-n must be at least 0\n"),
-            # only the size cap takes the --force hint; a search budget does not
-            (
-                ["compute", "{s6}", "--max-n", "3"],
-                3,
-                "error: exact solver capped at 3 vertices (got 6) (pass --force to search anyway)\n",
-            ),
+            (["compute", "{s6}", "--max-nodes", "2"], 3, "error: search budget of 2 nodes exhausted\n"),
             (["compute", "{s6}", "--max-extras", "0"], 3, "error: no certificate within 0 extra vertices\n"),
+            # the extras cap ends the search before a node budget that it leaves room for
             (
-                ["compute", "{s6}", "--max-extras", "0", "--force"],
+                ["compute", "{s6}", "--max-extras", "0", "--max-nodes", "1000"],
                 3,
                 "error: no certificate within 0 extra vertices\n",
             ),
             (
-                ["compute", "{s6}", "--time-budget-ms", "0", "--force"],
+                ["compute", "{s6}", "--time-budget-ms", "0"],
                 3,
                 "error: time budget exhausted before the search finished\n",
             ),

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import connected_gnp_draws
 from phylokit import exact
 from phylokit.derived import check_nontriangle_edge_arcs, competition_graph, validate_phylogeny_digraph
 from phylokit.errors import BudgetExhausted, Infeasible, TooLarge
@@ -54,8 +55,13 @@ class TestSolverValues:
         assert phylogeny_number_exact(figure_catalog("fig1_G")).value == 1
 
     def test_cap(self):
-        with pytest.raises(TooLarge):
-            phylogeny_number_exact(cycle_graph(13))
+        # no vertex cap: C13 is searched in its own ids, and the node
+        # budget, over every deepening budget's run, is the only limit
+        result = phylogeny_number_exact(cycle_graph(13))
+        assert result.value == result.witness.extra_count == 1
+        validate_phylogeny_digraph(result.witness.digraph, result.witness.base, cycle_graph(13))
+        with pytest.raises(BudgetExhausted, match="^search budget of 5 nodes exhausted$"):
+            phylogeny_number_exact(cycle_graph(13), max_nodes=5)
 
     def test_witness_is_valid_and_minimal(self):
         g = figure_catalog("fig2_G")
@@ -291,11 +297,10 @@ class TestOrbitPruning:
 
     @staticmethod
     def pair(g: Graph, head_joins: bool) -> tuple[_HeadSearch, _HeadSearch]:
-        # the competition searches branch fail-first, as the solver's does
         searched, _, symmetries = exact._canonical_form(g)
         return (
-            _HeadSearch(searched, head_joins, symmetries=(), fail_first=not head_joins),
-            _HeadSearch(searched, head_joins, symmetries=symmetries, fail_first=not head_joins),
+            _HeadSearch(searched, head_joins, symmetries=()),
+            _HeadSearch(searched, head_joins, symmetries=symmetries),
         )
 
     @pytest.mark.parametrize("head_joins", [True, False], ids=["phylogeny", "competition"])
@@ -339,14 +344,14 @@ class TestNodeTotals:
             search = _HeadSearch(searched, head_joins=True, symmetries=symmetries)
             search.deepen(0)
             nodes += search.nodes
-        assert nodes == 4557
+        assert nodes == 3004
 
     def test_competition_up_to_six_vertices_with_a_triangle(self):
         nodes = 0
         for g in connected_graphs_upto(6):
             if census(g).t:
                 searched, _, symmetries = exact._canonical_form(g)
-                search = _HeadSearch(searched, head_joins=False, symmetries=symmetries, fail_first=True)
+                search = _HeadSearch(searched, head_joins=False, symmetries=symmetries)
                 search.deepen(exact._competition_start(g, search.table))
                 nodes += search.nodes
         assert nodes == 1578
@@ -355,63 +360,86 @@ class TestNodeTotals:
 class TestRunAlone:
     """``run`` on a fresh search, without ``deepen`` before it."""
 
-    @pytest.mark.parametrize("fail_first", [False, True], ids=["canonical", "fail-first"])
     @pytest.mark.parametrize("head_joins, value", [(True, 1), (False, 2)], ids=["phylogeny", "competition"])
-    def test_four_cycle(self, head_joins, value, fail_first):
-        search = _HeadSearch(cycle_graph(4), head_joins, fail_first=fail_first)
+    def test_four_cycle(self, head_joins, value):
+        search = _HeadSearch(cycle_graph(4), head_joins)
         assert not search.run(value - 1)
         assert search.run(value)
         assert len(search.assembly.extras) == value
 
 
-def branch_orders(g: Graph, head_joins: bool) -> tuple[_HeadSearch, _HeadSearch]:
-    """The solver's search of g in the canonical edge order and fail-first."""
-    searched, _, symmetries = exact._canonical_form(g)
-    return (
-        _HeadSearch(searched, head_joins, symmetries=symmetries),
-        _HeadSearch(searched, head_joins, symmetries=symmetries, fail_first=True),
-    )
-
-
-def check_fail_first_agreement(graphs, head_joins: bool) -> tuple[int, int]:
-    """Both branch orders give the same ``run(b)`` at b = p - 1 and b = p.
-
-    Where the fail-first run at b succeeds and never switches, it took
-    the canonical order's path, with no failed child, so it must assemble
-    the same in-sets and extras.  Returns the budget pairs checked and
-    how many of them were such successes.
-    """
-    pairs = unswitched = 0
-    for g in graphs:
-        if g.m == 0:
-            continue
-        canonical, fail_first = branch_orders(g, head_joins)
-        start = 0 if head_joins else exact._competition_start(g, canonical.table)
-        value = canonical.deepen(start)
-        assert fail_first.deepen(start) == value, g
-        for budget in range(max(value - 1, 0), value + 1):
-            found = canonical.run(budget)
-            assert fail_first.run(budget) == found == (budget == value), (g, budget)
-            pairs += 1
-            if found and not fail_first.switched:
-                unswitched += 1
-                assert fail_first.assembly.in_set == canonical.assembly.in_set, g
-                assert fail_first.assembly.extras == canonical.assembly.extras, g
-    return pairs, unswitched
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.sorted_edges()])
 
 
 class TestFailFirst:
-    """The competition search's fail-first branching against the canonical order."""
+    """Fail-first branching, the head search's only rule, against independent oracles."""
 
-    @pytest.mark.parametrize("head_joins", [True, False], ids=["phylogeny", "competition"])
-    def test_agrees_with_canonical_order(self, head_joins):
-        pairs, unswitched = check_fail_first_agreement(connected_graphs_upto(6), head_joins)
-        assert 0 < unswitched < pairs
+    def test_phylogeny_agrees_with_the_oracle(self):
+        rng = random.Random(6)
+        for g in connected_graphs_upto(6):
+            try:
+                expected = oracle_phylogeny_number(g, 3)
+            except Infeasible:
+                expected = None
+            for h in (g, relabelled(g, rng)):
+                value = phylogeny_number_exact(h).value
+                assert value == expected if expected is not None else value > 3, h
 
-    @pytest.mark.parametrize("line", ["F?~vw", "F@v~o", "F?~vg", "FFz~o"])
+    def test_competition_agrees_with_roberts(self):
+        rng = random.Random(6)
+        for g in connected_graphs_upto(6):
+            expected = roberts_competition_number(g)
+            for h in (g, relabelled(g, rng)):
+                assert competition_number_exact(h) == expected, h
+
+    # the nodes the competition search visited on these graphs when it
+    # branched on the lowest uncovered edge throughout
+    LOWEST_EDGE_NODES = {"F?~vw": 5486, "F@v~o": 8580, "F?~vg": 2691, "FFz~o": 2548}
+
+    @pytest.mark.parametrize("line", list(LOWEST_EDGE_NODES))
     def test_visits_fewer_nodes(self, line):
         g = graph6_decode(line)
-        canonical, fail_first = branch_orders(g, head_joins=False)
-        for search in (canonical, fail_first):
-            search.deepen(exact._competition_start(g, search.table))
-        assert fail_first.nodes < canonical.nodes
+        searched, _, symmetries = exact._canonical_form(g)
+        search = _HeadSearch(searched, head_joins=False, symmetries=symmetries)
+        search.deepen(exact._competition_start(g, search.table))
+        assert search.nodes < self.LOWEST_EDGE_NODES[line]
+
+
+class TestNodeBudget:
+    """The phylogeny solver's node budget, the limit that replaced its vertex cap."""
+
+    def test_counts_the_nodes_of_every_run(self):
+        # the octahedron: its budget-0 run fails and its budget-1 run succeeds
+        g = Graph(6, [(a, b) for a, b in combinations(range(6), 2) if b - a != 3])
+        searched, _, symmetries = exact._canonical_form(g)
+
+        def search():
+            return _HeadSearch(searched, head_joins=True, symmetries=symmetries)
+
+        first = search()
+        assert first.deepen(0) == 1
+        total = first.nodes
+        alone = search()
+        assert alone.run(1) and alone.nodes < total
+        assert search().deepen(0, max_nodes=total) == 1
+        with pytest.raises(BudgetExhausted, match=f"^search budget of {total - 1} nodes exhausted$"):
+            search().deepen(0, max_nodes=total - 1)
+
+    def test_fail_first_solves_a_tail_graph(self):
+        # the lowest-edge order took 16,908,803 nodes on this graph
+        g = graph6_decode("HJ\\z~~}")
+        searched, _, symmetries = exact._canonical_form(g)
+        search = _HeadSearch(searched, head_joins=True, symmetries=symmetries)
+        assert search.deepen(0) == 1
+        assert search.nodes < 10_000
+        result = phylogeny_number_exact(g, max_nodes=10_000)
+        assert result.value == 1
+        validate_phylogeny_digraph(result.witness.digraph, result.witness.base, g)
+
+    def test_sixteen_vertex_draw_exhausts_a_small_budget(self):
+        g = connected_gnp_draws(16, 2026)[1]
+        with pytest.raises(BudgetExhausted, match="^search budget of 10000 nodes exhausted$"):
+            phylogeny_number_exact(g, max_nodes=10_000)

@@ -632,6 +632,19 @@ class TestAutoPipeline:
                 phylogeny_number_auto(g, want_witness=want_witness, max_extras=1)
             assert phylogeny_number_auto(g, want_witness=want_witness, max_extras=2).value == 2
 
+    def test_kernel_past_twelve_vertices(self):
+        # n = 15, reduced to a 13-vertex kernel that only the search values,
+        # in the input's ids and within the default node budget
+        g = graph6_decode("NsCK@_Ux?@?GGAA?C@O")
+        kernels, _ = reduce_graph(g)
+        assert [k.n for k in kernels] == [13]
+        res = phylogeny_number_auto(g, want_witness=True)
+        assert res.value == res.witness.extra_count == 4
+        assert res.method == "reduce+solver"
+        validate_phylogeny_digraph(res.witness.digraph, res.witness.base, g)
+        with pytest.raises(BudgetExhausted, match="^search budget of 1000 nodes exhausted$"):
+            phylogeny_number_auto(g, max_nodes=1000)
+
 
 class TestDifferenceFamily:
     @pytest.mark.parametrize("l", range(5))

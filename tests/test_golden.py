@@ -24,13 +24,13 @@ SWEEP_N6_DIGEST = "61c9c1388099a5f98bf5b84d4da6f9e641592662c52adbce6bd5edd9d7cf5
 # triangle-free spanning-tree construction rather than in a search, so
 # 11 of these witnesses differ from the solver's; values and methods are
 # pinned on their own below.
-AUTO_WITNESS_N6_DIGEST = "f15af1d5c301edb5e5f7b416d28d6c218094942facb17f98c7828a87ec1b485a"
+AUTO_WITNESS_N6_DIGEST = "32aaca3675218d3b009d400db301d815139c314b17bb9ef250fd69d022db8430"
 AUTO_WITNESS_LABELLED_N5_DIGEST = "eca79b85fb8485aa7031b5e2a3efc329f2da8b78e57b47448ef63a9fc062cf63"
 AUTO_VALUE_N6_DIGEST = "4a6b3aa5c5dd0e120c45bfc899f62c1e16bf10d537f4fbd28e3d06b030c44438"
 # upper-construction steps and arcs, then caring-construction arcs, over
 # the in-scope connected graphs: the AUTO_* digests see few of these
 CONSTRUCTIONS_N7_DIGEST = "3b04948124144a7d13f12113a42b038cc6a2e591a3f3e5cf1916392da5d9681f"
-SOLVER_WITNESS_N6_DIGEST = "d3a03c37f3376e70221e0f589bed9c2eba1ddb90f85fb05223eab422a219f226"
+SOLVER_WITNESS_N6_DIGEST = "66a6724698a016797b4ceaa627e6f23c79c8f07c2cd6854d95766d493cf6877b"
 CONNECTED_N8_DIGEST = "9c399dc9ca82ca18c2f0d8ccf4268ccaa2dacd7d301c21f4364d37e0b727ad6f"
 # list(g.edges) per graph: ``edges`` inserts the pairs in ascending order
 # on its first read, so its iteration order follows the adjacency alone

@@ -3,25 +3,27 @@
 These push the module invariants one size past the acceptance scope:
 the generator against its naive reference and the published count,
 sandwich, cover identity and upper-construction budget at 8 vertices,
-the exhaustive labeling/acyclicity equivalence at 5 vertices, and, at
-7 vertices, the competition solver against Roberts' characterization
-and the head search's fail-first branching against its canonical order.
+the exhaustive labeling/acyclicity equivalence at 5 vertices, at 7
+vertices the competition solver against Roberts' characterization, and
+the phylogeny solver's default node budget ending a 16-vertex search.
 """
 
 import os
+import time
 
 import pytest
 
-from conftest import all_digraph_arc_sets, naive_connected_graphs
+from conftest import all_digraph_arc_sets, connected_gnp_draws, naive_connected_graphs
+from phylokit.cli import main
 from phylokit.derived import validate_phylogeny_digraph
 from phylokit.errors import CyclicDigraph
 from phylokit.exact import competition_number_exact, phylogeny_number_exact
 from phylokit.generate import connected_graphs, graph6_encode
-from phylokit.graphs import Digraph, acyclic_labeling, is_acyclic
+from phylokit.graphs import Digraph, acyclic_labeling, format_graph, is_acyclic
 from phylokit.structure import census, edge_clique_cover_number, triangle_edges
 from phylokit.sweep import in_k4free_diamond_scope
 from phylokit.witness import construct_k4free_upper, replay_trace
-from test_exact import check_fail_first_agreement, roberts_competition_number
+from test_exact import roberts_competition_number
 
 slow = pytest.mark.skipif(
     not os.environ.get("PHYLOKIT_SLOW_TESTS"),
@@ -104,7 +106,12 @@ def test_competition_oracle_at_seven_vertices_with_a_triangle():
 
 
 @slow
-@pytest.mark.parametrize("head_joins", [True, False], ids=["phylogeny", "competition"])
-def test_fail_first_agreement_at_seven_vertices(head_joins):
-    pairs, unswitched = check_fail_first_agreement(connected_graphs(7), head_joins)
-    assert 0 < unswitched < pairs
+def test_default_node_budget_ends_a_sixteen_vertex_search(tmp_path, capsys):
+    # one million nodes took 8 to 12 s on a 2-core host
+    path = tmp_path / "g16.graph"
+    path.write_text(format_graph(connected_gnp_draws(16, 2026)[1]))
+    started = time.monotonic()
+    assert main(["compute", str(path)]) == 3
+    assert time.monotonic() - started < 60
+    captured = capsys.readouterr()
+    assert captured.err == "error: search budget of 1000000 nodes exhausted\n" and captured.out == ""

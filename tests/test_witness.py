@@ -38,7 +38,7 @@ from phylokit.witness import (
     replay_trace,
     restriction_digraph,
 )
-from conftest import diamond_necklace, random_certificate
+from conftest import diamond_necklace, random_certificate, triangle_ring
 from test_formulas import raises_under_optimization
 
 
@@ -211,8 +211,7 @@ class TestUpperConstruction:
         # the interpreter's stack on a ring of 1,000 triangles; here a
         # limit 100 frames above the caller's leaves no room for that
         if shape == "triangle-ring":
-            t = 150  # cycle edge (i, i + 1) plus apex t + i
-            g = Graph(2 * t, [e for i in range(t) for e in ((i, (i + 1) % t), (i, t + i), ((i + 1) % t, t + i))])
+            g = triangle_ring(150)
         else:
             g = diamond_necklace(120)
         frame, depth = sys._getframe(), 0
